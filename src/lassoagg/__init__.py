@@ -4,7 +4,7 @@ of the supports appearing along it."""
 __version__ = "0.1.0"
 
 from .design import (DesignMatrix, ProjectionCache, Support, operator_norm_phi_max,
-                     project)
+                     power_iteration, project)
 from .errors import DegenerateVarianceError, InvalidInputError
 from .weights import log_inv_weight, total_mass, verify_weight_bounds, weight_table
 from .solvers import (LassoFit, SqrtLassoFit, kkt_check, lasso_cd, sqrt_lasso,
@@ -12,10 +12,10 @@ from .solvers import (LassoFit, SqrtLassoFit, kkt_check, lasso_cd, sqrt_lasso,
 from .path import (LassoPath, SupportFamily, compute_path, grid_support_family,
                    path_support_family)
 from .aggregation import (CritResult, PrecomputedFits, QAggResult, SimplexWeights,
-                          aggregate_estimators, crit_select, crit_value, precompute,
-                          q_aggregate, q_objective, simplex_project)
-from .pipelines import (PipelineReport, geometric_grid, path_aggregate,
-                        sqrt_lasso_pipeline)
+                          crit_select, crit_value, precompute, q_aggregate, q_objective,
+                          simplex_project)
+from .pipelines import (PipelineReport, aggregate, aggregate_estimators, geometric_grid,
+                        path_aggregate, sqrt_lasso_pipeline)
 from .simulation import (OracleCheck, SimInstance, TrialConfig, exhaustive_spa,
                          generate_instance, monte_carlo, oi_rhs_crit,
                          run_oracle_trial, soi_rhs_supports)

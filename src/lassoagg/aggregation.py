@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .design import ProjectionCache, Support, as_design, as_response, project
+from .design import (ProjectionCache, Support, as_design, as_response, power_iteration,
+                     project)
 from .errors import InvalidInputError
 from .path import SupportFamily
-from .solvers import SUPPORT_THRESH
 from .weights import log_inv_weight
 
 # Constants of the two penalized objectives.
@@ -175,23 +175,6 @@ def simplex_project(v) -> SimplexWeights:
     return SimplexWeights(theta)
 
 
-def _power_lmax(G: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    v = np.ones(G.shape[0]) + 1e-3 * np.arange(G.shape[0])
-    v /= np.linalg.norm(v)
-    val = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        new_val = float(v @ w)
-        v = w / norm
-        if abs(new_val - val) <= tol * max(1.0, abs(new_val)):
-            return new_val
-        val = new_val
-    return val
-
-
 def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float,
                 tol_gap: Optional[float] = None,
                 max_iter: int = 50_000) -> QAggResult:
@@ -219,7 +202,7 @@ def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float,
     theta[int(np.argmin(vertex_vals))] = 1.0
     obj = objective(theta)
 
-    L = max(_power_lmax(G), 1e-12)
+    L = max(power_iteration(lambda v: G @ v, M).value, 1e-12)
     step = 1.0 / L
 
     z = theta
@@ -254,31 +237,3 @@ def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float,
                       objective=objective(theta), fw_gap=fw_gap,
                       sigma_hat_sq_used=sigma_hat_sq, converged=converged,
                       iterations=it)
-
-
-def aggregate_estimators(X, y, betas: Sequence[np.ndarray], sigma_hat_sq: float,
-                         method: str = "q", **agg_opts):
-    """Aggregate a family of coefficient estimates through their supports.
-
-    Builds the support family {supp(beta_j)} (deduplicated; the empty support
-    appears when some beta_j is zero) and dispatches to q_aggregate or
-    crit_select.  The aggregate uses the least-squares fits P_T y on those
-    supports, not X beta_j.
-    """
-    X = as_design(X)
-    betas = list(betas)
-    if not betas:
-        raise InvalidInputError("empty list of coefficient estimates")
-    supports = []
-    for beta in betas:
-        beta = np.asarray(beta, dtype=float).ravel()
-        if beta.shape[0] != X.p:
-            raise InvalidInputError("coefficient vector has wrong length")
-        supports.append(Support.from_beta(beta, SUPPORT_THRESH))
-    family = SupportFamily.from_supports(supports, source="external", include_empty=False)
-    pre = precompute(X, y, family)
-    if method == "q":
-        return q_aggregate(pre, sigma_hat_sq, **agg_opts)
-    if method == "crit":
-        return crit_select(pre, sigma_hat_sq)
-    raise InvalidInputError(f"unknown aggregation method {method!r}")

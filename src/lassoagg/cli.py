@@ -25,7 +25,7 @@ from .errors import DegenerateVarianceError, InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
 from .pipelines import PipelineReport, path_aggregate, sqrt_lasso_pipeline
 from .simulation import TrialConfig, monte_carlo
-from .solvers import sqrt_lasso, sqrt_lasso_universal_lambda
+from .solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
 from .weights import log_inv_weight, total_mass, verify_weight_bounds
 
 SCHEMA_VERSION = "1"
@@ -174,7 +174,6 @@ def _add_data_flags(p):
 
 def _add_common_flags(p):
     p.add_argument("--out", help="report output path (default: stdout)")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo oracle-inequality verification")
     _add_common_flags(p)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
@@ -240,7 +240,7 @@ def _cmd_path(args):
         for k, lam in enumerate(path.knots):
             beta = path.beta_at(float(lam))
             loss = float(np.sum((y - X.entries @ beta) ** 2)) / X.n
-            rows.append([float(lam), loss, int(np.sum(beta != 0.0))])
+            rows.append([float(lam), loss, int(np.sum(np.abs(beta) > SUPPORT_THRESH))])
         save_matrix_csv(args.path_csv, np.array(rows))
     results = {
         "knots": _jsonable(path.knots),
@@ -256,48 +256,51 @@ def _cmd_path(args):
 
 
 def _resolve_sigma(args, X, y):
+    """The variance estimate and whether the fit behind it converged."""
     if args.sigma_mode == "known":
         if args.sigma is None:
             raise InvalidInputError("--sigma is required with --sigma-mode known")
-        return float(args.sigma)
-    return sqrt_lasso(X, y, sqrt_lasso_universal_lambda(X.n, X.p)).sigma_hat_sq
+        return float(args.sigma), True
+    fit = sqrt_lasso(X, y, sqrt_lasso_universal_lambda(X.n, X.p))
+    return fit.sigma_hat_sq, fit.converged
+
+
+def _agg_opts(args):
+    return {"tol_gap": args.tol_gap} if args.tol_gap is not None else None
+
+
+def _write_pipeline_report(config, report: PipelineReport, out, sigma_converged=True) -> int:
+    """Write the report; exit 3 when any solver behind it did not converge."""
+    write_report(config, _pipeline_results(report), {"timing": report.timing}, out)
+    qp_converged = not isinstance(report.result, QAggResult) or report.result.converged
+    return 0 if qp_converged and report.fits_converged and sigma_converged else 3
 
 
 def _cmd_aggregate(args):
     X = load_matrix_csv(args.x, args.header)
     y = load_vector_csv(args.y, args.header)
-    sigma_hat_sq = _resolve_sigma(args, X, y)
-    agg_opts = {"tol_gap": args.tol_gap} if (args.method == "q" and args.tol_gap) else None
+    sigma_hat_sq, sigma_converged = _resolve_sigma(args, X, y)
     report = path_aggregate(X, y, sigma_hat_sq, method=args.method,
                             path_opts={"max_knots": args.max_knots},
-                            agg_opts=agg_opts)
+                            agg_opts=_agg_opts(args))
     config = {"command": "aggregate", "x": args.x, "y": args.y,
               "method": args.method, "sigma_mode": args.sigma_mode,
               "sigma": args.sigma, "max_knots": args.max_knots,
               "tol_gap": args.tol_gap}
-    write_report(config, _pipeline_results(report),
-                 {"timing": report.timing}, args.out)
-    if isinstance(report.result, QAggResult) and not report.result.converged:
-        return 3
-    return 0
+    return _write_pipeline_report(config, report, args.out, sigma_converged)
 
 
 def _cmd_sqrt_pipeline(args):
     X = load_matrix_csv(args.x, args.header)
     y = load_vector_csv(args.y, args.header)
-    agg_opts = {"tol_gap": args.tol_gap} if (args.method == "q" and args.tol_gap) else None
     report = sqrt_lasso_pipeline(X, y, lambda_min=args.lambda_min, M=args.grid_size,
                                  method=args.method, grid_mode=args.grid_mode,
-                                 agg_opts=agg_opts)
+                                 agg_opts=_agg_opts(args))
     config = {"command": "sqrt-pipeline", "x": args.x, "y": args.y,
               "method": args.method, "lambda_min": args.lambda_min,
               "grid_size": args.grid_size, "grid_mode": args.grid_mode,
-              "tol_gap": args.tol_gap, "threads": args.threads}
-    write_report(config, _pipeline_results(report),
-                 {"timing": report.timing}, args.out)
-    if isinstance(report.result, QAggResult) and not report.result.converged:
-        return 3
-    return 0
+              "tol_gap": args.tol_gap}
+    return _write_pipeline_report(config, report, args.out)
 
 
 def _cmd_simulate(args):

@@ -168,16 +168,18 @@ class PowerIterResult(NamedTuple):
     iterations: int
 
 
-def operator_norm_phi_max(X: DesignMatrix, tol: float = 1e-10, max_iter: int = 10000) -> PowerIterResult:
-    """Largest eigenvalue of X^T X / n by power iteration (diagnostic only)."""
-    X = as_design(X)
+def power_iteration(matvec, dim: int, tol: float = 1e-10,
+                    max_iter: int = 10000) -> PowerIterResult:
+    """Largest eigenvalue of the symmetric PSD operator v -> matvec(v) on
+    R^dim; stops when the Rayleigh quotient changes by at most
+    tol * max(1, |value|)."""
     # Deterministic start; the small ramp avoids starting orthogonal to the
-    # top eigenvector on symmetric designs.
-    v = np.ones(X.p) + 1e-3 * np.arange(X.p)
+    # top eigenvector on symmetric operators.
+    v = np.ones(dim) + 1e-3 * np.arange(dim)
     v /= np.linalg.norm(v)
     val = 0.0
     for it in range(1, max_iter + 1):
-        w = X.entries.T @ (X.entries @ v) / X.n
+        w = matvec(v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return PowerIterResult(0.0, True, it)
@@ -187,3 +189,9 @@ def operator_norm_phi_max(X: DesignMatrix, tol: float = 1e-10, max_iter: int = 1
             return PowerIterResult(new_val, True, it)
         val = new_val
     return PowerIterResult(val, False, max_iter)
+
+
+def operator_norm_phi_max(X: DesignMatrix, tol: float = 1e-10, max_iter: int = 10000) -> PowerIterResult:
+    """Largest eigenvalue of X^T X / n by power iteration (diagnostic only)."""
+    X = as_design(X)
+    return power_iteration(lambda v: X.entries.T @ (X.entries @ v) / X.n, X.p, tol, max_iter)

@@ -61,13 +61,6 @@ class LassoPath:
     def supports(self) -> List[Support]:
         return [seg.support for seg in self.segments]
 
-    @property
-    def betas_at_knots(self) -> np.ndarray:
-        out = np.zeros((self.knots.size, self.p))
-        for k, lam in enumerate(self.knots):
-            out[k] = self.beta_at(lam)
-        return out
-
     def beta_at(self, lam: float) -> np.ndarray:
         """Coefficient vector at penalty level lam (zero above lambda_0)."""
         if lam < 0:
@@ -129,8 +122,6 @@ def _active_solve(Xm: np.ndarray, y: np.ndarray, active: List[int],
         b = n * scipy.linalg.cho_solve((c, low), s)
         return a, b, False
     except np.linalg.LinAlgError:
-        return np.zeros(len(active)), np.zeros(len(active)), True
-    except scipy.linalg.LinAlgError:
         return np.zeros(len(active)), np.zeros(len(active)), True
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
+import numpy as np
 
-from .aggregation import CritResult, QAggResult, crit_select, precompute, q_aggregate
+from .aggregation import (CritResult, PrecomputedFits, QAggResult, crit_select, precompute,
+                          q_aggregate)
 from .design import Support, as_design, as_response
 from .errors import InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
@@ -24,10 +26,14 @@ class PipelineReport:
     path_meta: dict = field(default_factory=dict)
     grid_meta: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
+    fits_converged: bool = True     # every square-root-Lasso fit converged
 
 
-def _aggregate(X, y, family, sigma_hat_sq, method, agg_opts, cache=None):
-    pre = precompute(X, y, family, cache=cache)
+def aggregate(pre: PrecomputedFits, sigma_hat_sq: float, method: str,
+              agg_opts: Optional[dict] = None) -> Union[QAggResult, CritResult]:
+    """Aggregate a precomputed family: method "q" runs q_aggregate with the
+    solver options agg_opts, method "crit" runs crit_select, which takes
+    none."""
     if method == "q":
         return q_aggregate(pre, sigma_hat_sq, **(agg_opts or {}))
     if method == "crit":
@@ -35,6 +41,29 @@ def _aggregate(X, y, family, sigma_hat_sq, method, agg_opts, cache=None):
             raise InvalidInputError("crit_select accepts no solver options")
         return crit_select(pre, sigma_hat_sq)
     raise InvalidInputError(f"unknown aggregation method {method!r}")
+
+
+def aggregate_estimators(X, y, betas: Sequence[np.ndarray], sigma_hat_sq: float,
+                         method: str = "q", **agg_opts):
+    """Aggregate a family of coefficient estimates through their supports.
+
+    Builds the support family {supp(beta_j)} (deduplicated; the empty support
+    appears when some beta_j is zero) and aggregates it with the given method.
+    The aggregate uses the least-squares fits P_T y on those supports, not
+    X beta_j.
+    """
+    X = as_design(X)
+    betas = list(betas)
+    if not betas:
+        raise InvalidInputError("empty list of coefficient estimates")
+    supports = []
+    for beta in betas:
+        beta = np.asarray(beta, dtype=float).ravel()
+        if beta.shape[0] != X.p:
+            raise InvalidInputError("coefficient vector has wrong length")
+        supports.append(Support.from_beta(beta, SUPPORT_THRESH))
+    family = SupportFamily.from_supports(supports, source="external", include_empty=False)
+    return aggregate(precompute(X, y, family), sigma_hat_sq, method, agg_opts)
 
 
 def path_aggregate(X, y, sigma_hat_sq: float, method: str = "q",
@@ -51,7 +80,7 @@ def path_aggregate(X, y, sigma_hat_sq: float, method: str = "q",
     path = compute_path(X, y, **(path_opts or {}))
     t1 = time.perf_counter()
     family = path_support_family(path)
-    result = _aggregate(X, y, family, sigma_hat_sq, method, agg_opts)
+    result = aggregate(precompute(X, y, family), sigma_hat_sq, method, agg_opts)
     t2 = time.perf_counter()
     return PipelineReport(
         family=family,
@@ -124,7 +153,7 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
     family = SupportFamily.from_supports(supports, source="grid")
     t1 = time.perf_counter()
 
-    result = _aggregate(X, y, family, sigma_hat_sq, method, agg_opts)
+    result = aggregate(precompute(X, y, family), sigma_hat_sq, method, agg_opts)
     t2 = time.perf_counter()
     return PipelineReport(
         family=family,
@@ -139,4 +168,5 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
             "converged": converged,
         },
         timing={"fits_s": t1 - t0, "aggregate_s": t2 - t1},
+        fits_converged=fit_max.converged and all(converged),
     )

@@ -13,10 +13,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .aggregation import precompute, q_aggregate, crit_select, QAggResult
+# crit_select is unused here, but perfbench/tracing.py wraps it at this module
+from .aggregation import QAggResult, crit_select, precompute, q_aggregate  # noqa: F401
 from .design import DesignMatrix, ProjectionCache, Support, as_design, project
 from .errors import InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
+from .pipelines import aggregate
 from .solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
 
 
@@ -94,8 +96,31 @@ def generate_instance(n: int, p: int, s: int, sigma: float,
                        noise_kind=noise_kind)
 
 
-def _complexity(p: int, k: int) -> float:
-    return k * math.log(math.e * p / max(k, 1))
+# Constants (f, c0, c1, tail) of an oracle bound: min over candidates T of
+# f*bias(T) + (s2/n)(c0 + c1|T|log(ep/(|T| v 1))), plus tail*sigma^2*x/n.
+SOI = (1.0, 24.0, 96.0, 22.0)   # sharp oracle inequality, simplex aggregate
+OI = (3.0, 26.0, 104.0, 28.0)   # oracle inequality, criterion selector
+
+
+def _bound_terms(consts, biases, sizes, sigma_hat_sq: float, n: int, p: int) -> List[float]:
+    """Per-candidate terms of an oracle bound, one per (bias, support size)."""
+    f, c0, c1, _ = consts
+    return [f * bias + (sigma_hat_sq / n) * (c0 + c1 * (k * math.log(math.e * p / max(k, 1))))
+            for bias, k in zip(biases, sizes)]
+
+
+def _rhs_supports(consts, family: SupportFamily, mu, X,
+                  sigma_hat_sq: float, sigma_sq: float, x: float,
+                  cache: Optional[ProjectionCache]) -> Tuple[float, List[float], Support]:
+    if x <= 0:
+        raise InvalidInputError("x must be positive")
+    X = as_design(X)
+    n = X.n
+    biases = [float(np.sum(project(X, T, mu, cache=cache).residual ** 2)) / n
+              for T in family]
+    terms = _bound_terms(consts, biases, [T.size for T in family], sigma_hat_sq, n, X.p)
+    j = int(np.argmin(terms))
+    return terms[j] + consts[3] * sigma_sq * x / n, terms, family.supports[j]
 
 
 def soi_rhs_supports(family: SupportFamily, mu, X, sigma_hat_sq: float,
@@ -105,16 +130,7 @@ def soi_rhs_supports(family: SupportFamily, mu, X, sigma_hat_sq: float,
     """Right-hand side of the sharp oracle inequality for the simplex
     aggregate: min over T of bias + (s2/n)(24 + 96|T|log(ep/(|T| v 1)))
     plus 22*sigma^2*x/n.  Returns (value, per-support terms, argmin)."""
-    if x <= 0:
-        raise InvalidInputError("x must be positive")
-    X = as_design(X)
-    n, p = X.n, X.p
-    terms = []
-    for T in family:
-        bias = float(np.sum(project(X, T, mu, cache=cache).residual ** 2)) / n
-        terms.append(bias + (sigma_hat_sq / n) * (24.0 + 96.0 * _complexity(p, T.size)))
-    j = int(np.argmin(terms))
-    return terms[j] + 22.0 * sigma_sq * x / n, terms, family.supports[j]
+    return _rhs_supports(SOI, family, mu, X, sigma_hat_sq, sigma_sq, x, cache)
 
 
 def oi_rhs_crit(family: SupportFamily, mu, X, sigma_hat_sq: float,
@@ -124,16 +140,7 @@ def oi_rhs_crit(family: SupportFamily, mu, X, sigma_hat_sq: float,
     """Right-hand side of the oracle inequality for the criterion selector:
     min over T of 3*bias + (s2/n)(26 + 104|T|log(ep/(|T| v 1)))
     plus 28*sigma^2*x/n."""
-    if x <= 0:
-        raise InvalidInputError("x must be positive")
-    X = as_design(X)
-    n, p = X.n, X.p
-    terms = []
-    for T in family:
-        bias = float(np.sum(project(X, T, mu, cache=cache).residual ** 2)) / n
-        terms.append(3.0 * bias + (sigma_hat_sq / n) * (26.0 + 104.0 * _complexity(p, T.size)))
-    j = int(np.argmin(terms))
-    return terms[j] + 28.0 * sigma_sq * x / n, terms, family.supports[j]
+    return _rhs_supports(OI, family, mu, X, sigma_hat_sq, sigma_sq, x, cache)
 
 
 @dataclass
@@ -185,13 +192,8 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
     family = path_support_family(path)
     cache = ProjectionCache(X)
     pre = precompute(X, y, family, cache=cache)
-
-    if config.method == "q":
-        mu_hat = q_aggregate(pre, sigma_hat_sq, tol_gap=config.tol_gap).mu_hat
-    elif config.method == "crit":
-        mu_hat = crit_select(pre, sigma_hat_sq).mu_hat
-    else:
-        raise InvalidInputError(f"unknown method {config.method!r}")
+    agg_opts = {"tol_gap": config.tol_gap} if config.tol_gap is not None else None
+    mu_hat = aggregate(pre, sigma_hat_sq, config.method, agg_opts).mu_hat
     lhs = float(np.sum((mu_hat - mu) ** 2)) / n
 
     sigma_sq = config.sigma ** 2
@@ -199,26 +201,20 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
         # min over lambda approximated at knots and segment midpoints;
         # the support size is constant within each segment
         lams = list(path.knots) + path.segment_midpoints()
-        best = None
-        best_desc = "beta=0"
-        # lambda above lambda_0: beta = 0
-        terms = [(float(np.sum(mu ** 2)) / n + 24.0 * sigma_hat_sq / n, "beta=0")]
-        for lam in lams:
-            beta = path.beta_at(lam)
-            k = int(np.sum(np.abs(beta) > SUPPORT_THRESH))
-            loss = float(np.sum((X.entries @ beta - mu) ** 2)) / n
-            terms.append((loss + (sigma_hat_sq / n) * (24.0 + 96.0 * _complexity(p, k)),
-                          f"lambda={lam:.6g}"))
-        best, best_desc = min(terms, key=lambda t: t[0])
-        rhs = best + 22.0 * sigma_sq * config.x / n
-        minimizing = best_desc
-    elif config.bound == "soi_supports":
-        rhs, _, T = soi_rhs_supports(family, mu, X, sigma_hat_sq, sigma_sq,
-                                     config.x, cache=cache)
-        minimizing = f"T={T.one_based()}"
-    elif config.bound == "oi_supports":
-        rhs, _, T = oi_rhs_crit(family, mu, X, sigma_hat_sq, sigma_sq,
-                                config.x, cache=cache)
+        betas = [path.beta_at(lam) for lam in lams]
+        losses = [float(np.sum((X.entries @ beta - mu) ** 2)) / n for beta in betas]
+        sizes = [int(np.sum(np.abs(beta) > SUPPORT_THRESH)) for beta in betas]
+        # lambda above lambda_0, where beta = 0; this term keeps its own
+        # 24*s2/n, which rounds differently from the (s2/n)*24 of the loop
+        terms = ([float(np.sum(mu ** 2)) / n + SOI[1] * sigma_hat_sq / n]
+                 + _bound_terms(SOI, losses, sizes, sigma_hat_sq, n, p))
+        j = int(np.argmin(terms))
+        rhs = terms[j] + SOI[3] * sigma_sq * config.x / n
+        minimizing = "beta=0" if j == 0 else f"lambda={lams[j - 1]:.6g}"
+    elif config.bound in ("soi_supports", "oi_supports"):
+        consts = SOI if config.bound == "soi_supports" else OI
+        rhs, _, T = _rhs_supports(consts, family, mu, X, sigma_hat_sq, sigma_sq,
+                                  config.x, cache)
         minimizing = f"T={T.one_based()}"
     else:
         raise InvalidInputError(f"unknown bound {config.bound!r}")

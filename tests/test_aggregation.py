@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lassoagg.aggregation import (CritResult, QAggResult, aggregate_estimators,
-                                  crit_select, crit_value, precompute,
-                                  q_aggregate, q_objective, simplex_project)
+from lassoagg.aggregation import (CritResult, QAggResult, crit_select, crit_value,
+                                  precompute, q_aggregate, q_objective, simplex_project)
 from lassoagg.design import DesignMatrix, Support, project
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import SupportFamily, grid_support_family
+from lassoagg.pipelines import aggregate_estimators
 from lassoagg.weights import log_inv_weight
 
 

@@ -1,10 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import lassoagg.cli
+import lassoagg.pipelines
 from lassoagg.cli import (ParseError, canonical_json, load_matrix_csv,
                           load_vector_csv, main, save_matrix_csv)
+from lassoagg.path import compute_path
+from lassoagg.simulation import generate_instance
+from lassoagg.solvers import SUPPORT_THRESH
 
 
 @pytest.fixture
@@ -93,6 +99,76 @@ def test_aggregate_command_q_and_crit(tmp_path, data_files):
         report = json.loads(out.read_text())
         assert report["results"]["result"]["kind"] == method
         assert report["results"]["sigma_hat_sq"] == 0.09
+
+
+def test_path_csv_support_size_uses_threshold(tmp_path):
+    inst = generate_instance(60, 120, 5, 1.0, seed=3)
+    xpath, ypath, pcsv = (str(tmp_path / f) for f in ("x.csv", "y.csv", "path.csv"))
+    save_matrix_csv(xpath, inst.X.entries)
+    save_matrix_csv(ypath, inst.y.reshape(-1, 1))
+    assert main(["path", "--x", xpath, "--y", ypath, "--path-csv", pcsv,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    rows = load_matrix_csv(pcsv).entries
+    path = compute_path(load_matrix_csv(xpath), load_vector_csv(ypath))
+    sizes = [int(np.sum(np.abs(path.beta_at(float(lam))) > SUPPORT_THRESH))
+             for lam in path.knots]
+    assert rows[:, 2].tolist() == sizes
+
+
+SOLVER_COMMANDS = [["aggregate", "--sigma", "0.09"], ["sqrt-pipeline", "--grid-size", "5"]]
+
+
+@pytest.mark.parametrize("command", SOLVER_COMMANDS)
+def test_nonpositive_tol_gap_exits_2(data_files, command, capsys):
+    xpath, ypath, *_ = data_files
+    code = main([command[0], "--x", xpath, "--y", ypath, *command[1:],
+                 "--tol-gap", "0"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("command", SOLVER_COMMANDS)
+def test_tol_gap_with_crit_exits_2(data_files, command, capsys):
+    xpath, ypath, *_ = data_files
+    code = main([command[0], "--x", xpath, "--y", ypath, *command[1:],
+                 "--method", "crit", "--tol-gap", "1e-6"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("module, command, stalled_call", [
+    (lassoagg.cli, ["aggregate", "--sigma-mode", "sqrt_lasso"], 0),
+    (lassoagg.pipelines, ["sqrt-pipeline", "--grid-size", "5"], 0),  # the sigma fit
+    (lassoagg.pipelines, ["sqrt-pipeline", "--grid-size", "5"], 3),  # a grid fit
+])
+def test_unconverged_sqrt_lasso_exits_3(tmp_path, data_files, monkeypatch,
+                                        module, command, stalled_call):
+    xpath, ypath, *_ = data_files
+    argv = [command[0], "--x", xpath, "--y", ypath, *command[1:]]
+    ok = tmp_path / "ok.json"
+    assert main(argv + ["--out", str(ok)]) == 0
+
+    real = module.sqrt_lasso
+    calls = []
+
+    def stalled(*args, **kwargs):
+        fit = real(*args, **kwargs)
+        calls.append(None)
+        return dataclasses.replace(fit, converged=len(calls) - 1 != stalled_call)
+
+    monkeypatch.setattr(module, "sqrt_lasso", stalled)
+    out = tmp_path / "stalled.json"
+    assert main(argv + ["--out", str(out)]) == 3
+    # the report is still written and its results carry no extra key
+    assert json.loads(out.read_text())["results"].keys() == \
+        json.loads(ok.read_text())["results"].keys()
+
+
+def test_threads_only_on_simulate(data_files):
+    xpath, ypath, *_ = data_files
+    with pytest.raises(SystemExit) as exc:
+        main(["aggregate", "--x", xpath, "--y", ypath, "--sigma", "1", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_aggregate_requires_sigma_in_known_mode(data_files, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lassoagg.design import (DesignMatrix, ProjectionCache, Support,
-                             operator_norm_phi_max, project)
+                             operator_norm_phi_max, power_iteration, project)
 from lassoagg.errors import InvalidInputError
 
 
@@ -157,3 +157,13 @@ def test_phi_max_two_column_correlated():
     X = DesignMatrix(np.sqrt(2.0) * C.T)
     res = operator_norm_phi_max(X)
     assert res.value == pytest.approx(1.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_iteration_matches_eigvalsh(seed):
+    # a Gram matrix of fitted vectors, as in q_aggregate's step size
+    A = np.random.default_rng(seed).standard_normal((30, 12))
+    G = A.T @ A
+    res = power_iteration(lambda v: G @ v, G.shape[0])
+    assert res.converged
+    assert res.value == pytest.approx(np.linalg.eigvalsh(G)[-1], rel=1e-8)

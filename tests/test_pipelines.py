@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from lassoagg.aggregation import CritResult, QAggResult
+from lassoagg.aggregation import CritResult, QAggResult, precompute
 from lassoagg.design import Support
 from lassoagg.errors import DegenerateVarianceError, InvalidInputError
-from lassoagg.pipelines import (geometric_grid, path_aggregate,
+from lassoagg.path import SupportFamily
+from lassoagg.pipelines import (aggregate, geometric_grid, path_aggregate,
                                 sqrt_lasso_pipeline)
 from lassoagg.weights import log_inv_weight
 
@@ -54,6 +55,17 @@ def test_path_aggregate_truncated_prefix():
 def test_path_aggregate_rejects_bad_method():
     with pytest.raises(InvalidInputError):
         path_aggregate(np.eye(2), np.ones(2), 1.0, method="mean")
+
+
+def test_aggregate_dispatch_rejects_bad_method_and_crit_options():
+    pre = precompute(np.eye(2), np.ones(2),
+                     SupportFamily.from_supports([Support((0,))]))
+    with pytest.raises(InvalidInputError, match="unknown aggregation method"):
+        aggregate(pre, 1.0, "mean")
+    with pytest.raises(InvalidInputError, match="no solver options"):
+        aggregate(pre, 1.0, "crit", {"tol_gap": 1e-6})
+    assert isinstance(aggregate(pre, 1.0, "crit"), CritResult)
+    assert isinstance(aggregate(pre, 1.0, "q", {"tol_gap": 1e-6}), QAggResult)
 
 
 def test_geometric_grid_spanning_values():
