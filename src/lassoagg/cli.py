@@ -25,7 +25,8 @@ from .errors import DegenerateVarianceError, InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
 from .pipelines import PipelineReport, path_aggregate, sqrt_lasso_pipeline
 from .simulation import TrialConfig, monte_carlo
-from .solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
+# sqrt_lasso is unused here, but perfbench/tracing.py wraps it at this module
+from .solvers import SUPPORT_THRESH, sqrt_lasso  # noqa: F401
 from .weights import log_inv_weight, total_mass, verify_weight_bounds
 
 SCHEMA_VERSION = "1"
@@ -255,39 +256,39 @@ def _cmd_path(args):
     return 0
 
 
-def _resolve_sigma(args, X, y):
-    """The variance estimate and whether the fit behind it converged."""
+def _resolve_sigma(args) -> Optional[float]:
+    """The known variance, or None for the square-root-Lasso estimate."""
     if args.sigma_mode == "known":
         if args.sigma is None:
             raise InvalidInputError("--sigma is required with --sigma-mode known")
-        return float(args.sigma), True
-    fit = sqrt_lasso(X, y, sqrt_lasso_universal_lambda(X.n, X.p))
-    return fit.sigma_hat_sq, fit.converged
+        return float(args.sigma)
+    if args.sigma is not None:
+        raise InvalidInputError("--sigma is not allowed with --sigma-mode sqrt_lasso")
+    return None
 
 
 def _agg_opts(args):
     return {"tol_gap": args.tol_gap} if args.tol_gap is not None else None
 
 
-def _write_pipeline_report(config, report: PipelineReport, out, sigma_converged=True) -> int:
+def _write_pipeline_report(config, report: PipelineReport, out) -> int:
     """Write the report; exit 3 when any solver behind it did not converge."""
     write_report(config, _pipeline_results(report), {"timing": report.timing}, out)
     qp_converged = not isinstance(report.result, QAggResult) or report.result.converged
-    return 0 if qp_converged and report.fits_converged and sigma_converged else 3
+    return 0 if qp_converged and report.fits_converged else 3
 
 
 def _cmd_aggregate(args):
     X = load_matrix_csv(args.x, args.header)
     y = load_vector_csv(args.y, args.header)
-    sigma_hat_sq, sigma_converged = _resolve_sigma(args, X, y)
-    report = path_aggregate(X, y, sigma_hat_sq, method=args.method,
+    report = path_aggregate(X, y, _resolve_sigma(args), method=args.method,
                             path_opts={"max_knots": args.max_knots},
                             agg_opts=_agg_opts(args))
     config = {"command": "aggregate", "x": args.x, "y": args.y,
               "method": args.method, "sigma_mode": args.sigma_mode,
               "sigma": args.sigma, "max_knots": args.max_knots,
               "tol_gap": args.tol_gap}
-    return _write_pipeline_report(config, report, args.out, sigma_converged)
+    return _write_pipeline_report(config, report, args.out)
 
 
 def _cmd_sqrt_pipeline(args):

@@ -18,7 +18,8 @@ import scipy.linalg
 
 from .design import Support, as_design, as_response
 from .errors import InvalidInputError
-from .solvers import SUPPORT_THRESH, lasso_cd
+# lasso_cd is unused here, but perfbench/tracing.py wraps it at this module
+from .solvers import SUPPORT_THRESH, lasso_cd  # noqa: F401
 
 # Relative tolerance under which simultaneous events count as a tie;
 # ties are broken by the lowest column index for determinism.
@@ -125,13 +126,13 @@ def _active_solve(Xm: np.ndarray, y: np.ndarray, active: List[int],
         return np.zeros(len(active)), np.zeros(len(active)), True
 
 
-def compute_path(X, y, max_knots: Optional[int] = None,
-                 lambda_floor: Optional[float] = None) -> LassoPath:
+def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     """Full Lasso homotopy from lambda_0 = max_j |X_j^T y|/n down to the floor.
 
-    Stops at lambda <= lambda_floor, when the residual correlation vanishes,
-    or after max_knots events (then truncated=True).  Event ties within
-    TIE_TOL are resolved by the lowest column index and flagged degenerate.
+    Stops at the floor 1e-8 * lambda_0, when the residual correlation
+    vanishes, or after max_knots events (then truncated=True).  Event ties
+    within TIE_TOL are resolved by the lowest column index and flagged
+    degenerate.
     """
     X = as_design(X)
     y = as_response(y, X.n)
@@ -146,8 +147,7 @@ def compute_path(X, y, max_knots: Optional[int] = None,
         raise InvalidInputError("max_knots must be >= 1")
     if lam0 <= 0.0:
         return LassoPath(p=p, knots=np.empty(0), segments=[], lambda_floor=0.0)
-    if lambda_floor is None:
-        lambda_floor = 1e-8 * lam0
+    lambda_floor = 1e-8 * lam0
 
     degenerate = False
     truncated = False
@@ -290,12 +290,12 @@ def path_support_family(path: LassoPath) -> SupportFamily:
     return fam
 
 
-def grid_support_family(X, y, lambdas, tol: float = 1e-9,
-                        max_iter: int = 100_000) -> SupportFamily:
-    """Supports of Lasso fits on a penalty grid (warm-started, decreasing).
+def grid_support_family(X, y, lambdas) -> SupportFamily:
+    """Supports of the Lasso fits on a penalty grid, read off the path.
 
-    Per-lambda convergence is recorded in meta; non-converged entries are
-    excluded from the family.  The empty support is always included.
+    Penalties below the last knot of a truncated path are recorded as
+    unconverged in meta and excluded from the family.  The empty support is
+    always included.
     """
     X = as_design(X)
     y = as_response(y, X.n)
@@ -304,15 +304,10 @@ def grid_support_family(X, y, lambdas, tol: float = 1e-9,
         raise InvalidInputError("all grid penalties must be positive")
     lambdas = lambdas[::-1]
 
-    supports = []
-    converged = {}
-    beta = None
-    for lam in lambdas:
-        fit = lasso_cd(X, y, lam, tol=tol, max_iter=max_iter, beta0=beta)
-        beta = fit.beta
-        converged[lam] = fit.converged
-        if fit.converged:
-            supports.append(Support.from_beta(fit.beta, SUPPORT_THRESH))
+    path = compute_path(X, y)
+    converged = {lam: not path.truncated or lam >= path.knots[-1] for lam in lambdas}
+    supports = [Support.from_beta(path.beta_at(lam), SUPPORT_THRESH)
+                for lam in lambdas if converged[lam]]
     fam = SupportFamily.from_supports(supports, source="grid")
     fam.meta["lambdas"] = lambdas
     fam.meta["converged"] = converged

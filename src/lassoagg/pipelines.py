@@ -1,5 +1,7 @@
 """End-to-end procedures: aggregation of the Lasso-path support family and
-the fully data-driven square-root-Lasso pipeline."""
+the fully data-driven square-root-Lasso pipeline.  Each procedure computes
+one Lasso path, which supplies the support family, the variance estimate of
+the square-root Lasso and its grid fits."""
 
 from __future__ import annotations
 
@@ -66,18 +68,24 @@ def aggregate_estimators(X, y, betas: Sequence[np.ndarray], sigma_hat_sq: float,
     return aggregate(precompute(X, y, family), sigma_hat_sq, method, agg_opts)
 
 
-def path_aggregate(X, y, sigma_hat_sq: float, method: str = "q",
+def path_aggregate(X, y, sigma_hat_sq: Optional[float] = None, method: str = "q",
                    path_opts: Optional[dict] = None,
                    agg_opts: Optional[dict] = None) -> PipelineReport:
     """Two-step procedure: Lasso path, then aggregation of its supports.
 
-    Truncated paths are aggregated as-is; the oracle guarantees hold for any
-    data-driven family, including a prefix of the path.
+    sigma_hat_sq=None estimates the variance by the square-root Lasso at its
+    universal penalty, read off the same path; fits_converged reports that
+    fit.  Truncated paths are aggregated as-is; the oracle guarantees hold
+    for any data-driven family, including a prefix of the path.
     """
     X = as_design(X)
     y = as_response(y, X.n)
     t0 = time.perf_counter()
     path = compute_path(X, y, **(path_opts or {}))
+    fits_converged = True
+    if sigma_hat_sq is None:
+        fit = sqrt_lasso(X, y, sqrt_lasso_universal_lambda(X.n, X.p), path=path)
+        sigma_hat_sq, fits_converged = fit.sigma_hat_sq, fit.converged
     t1 = time.perf_counter()
     family = path_support_family(path)
     result = aggregate(precompute(X, y, family), sigma_hat_sq, method, agg_opts)
@@ -94,6 +102,7 @@ def path_aggregate(X, y, sigma_hat_sq: float, method: str = "q",
             "lambda0": path.lambda0,
         },
         timing={"path_s": t1 - t0, "aggregate_s": t2 - t1},
+        fits_converged=fits_converged,
     )
 
 
@@ -120,14 +129,14 @@ def geometric_grid(lambda_min: float, lambda_max: float, M: int,
 
 def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
                         method: str = "q", grid_mode: str = "spanning",
-                        sqrt_opts: Optional[dict] = None,
                         agg_opts: Optional[dict] = None) -> PipelineReport:
     """Fully data-driven pipeline based on the square-root Lasso.
 
     Fits the square-root Lasso on a geometric grid below its universal
     penalty, aggregates the resulting supports, and uses the variance
-    estimate at the universal penalty.  Raises DegenerateVarianceError when
-    that estimate is undefined (residual collapse).
+    estimate at the universal penalty.  Every fit is read off one Lasso
+    path.  Raises DegenerateVarianceError when any fit has no variance
+    estimate (residual collapse).
     """
     X = as_design(X)
     y = as_response(y, X.n)
@@ -135,25 +144,18 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
     if lambda_min is None:
         lambda_min = lambda_max / 100.0
     grid = geometric_grid(lambda_min, lambda_max, M, mode=grid_mode)
-    sqrt_opts = sqrt_opts or {}
 
     t0 = time.perf_counter()
+    path = compute_path(X, y)
     # variance estimate at the universal penalty (largest grid value or above)
-    fit_max = sqrt_lasso(X, y, lambda_max, **sqrt_opts)
-    sigma_hat_sq = fit_max.sigma_hat_sq
-
-    supports = []
-    converged = []
-    beta = fit_max.beta
-    for lam in sorted(grid, reverse=True):
-        fit = sqrt_lasso(X, y, lam, beta0=beta, **sqrt_opts)
-        beta = fit.beta
-        converged.append(fit.converged)
-        supports.append(Support.from_beta(fit.beta, SUPPORT_THRESH))
-    family = SupportFamily.from_supports(supports, source="grid")
+    fit_max = sqrt_lasso(X, y, lambda_max, path=path)
+    fits = [sqrt_lasso(X, y, lam, path=path) for lam in sorted(grid, reverse=True)]
+    converged = [fit.converged for fit in fits]
+    family = SupportFamily.from_supports(
+        [Support.from_beta(fit.beta, SUPPORT_THRESH) for fit in fits], source="grid")
     t1 = time.perf_counter()
 
-    result = aggregate(precompute(X, y, family), sigma_hat_sq, method, agg_opts)
+    result = aggregate(precompute(X, y, family), fit_max.sigma_hat_sq, method, agg_opts)
     t2 = time.perf_counter()
     return PipelineReport(
         family=family,

@@ -166,34 +166,32 @@ class TrialConfig:
     seed: int = 0
     design_kind: str = "iid_gaussian"
     rho: float = 0.5
-    noise_kind: str = "gaussian"
-    max_knots: Optional[int] = None
-    tol_gap: Optional[float] = None
 
 
 def run_oracle_trial(config: TrialConfig) -> OracleCheck:
     """One replication: generate data, run the path pipeline, compare the
     realized loss with the matching oracle-inequality bound."""
+    if config.x <= 0:
+        raise InvalidInputError("x must be positive")
     inst = generate_instance(config.n, config.p, config.s, config.sigma,
                              design_kind=config.design_kind, seed=config.seed,
-                             rho=config.rho, noise_kind=config.noise_kind)
+                             rho=config.rho)
     X, y, mu = inst.X, inst.y, inst.mu
     n, p = X.n, X.p
 
+    path = compute_path(X, y)
     if config.sigma_mode == "known":
         sigma_hat_sq = config.sigma ** 2
     elif config.sigma_mode == "sqrt_lasso":
-        lam_u = sqrt_lasso_universal_lambda(n, p)
-        sigma_hat_sq = sqrt_lasso(X, y, lam_u).sigma_hat_sq
+        sigma_hat_sq = sqrt_lasso(X, y, sqrt_lasso_universal_lambda(n, p),
+                                  path=path).sigma_hat_sq
     else:
         raise InvalidInputError(f"unknown sigma mode {config.sigma_mode!r}")
 
-    path = compute_path(X, y, max_knots=config.max_knots)
     family = path_support_family(path)
     cache = ProjectionCache(X)
     pre = precompute(X, y, family, cache=cache)
-    agg_opts = {"tol_gap": config.tol_gap} if config.tol_gap is not None else None
-    mu_hat = aggregate(pre, sigma_hat_sq, config.method, agg_opts).mu_hat
+    mu_hat = aggregate(pre, sigma_hat_sq, config.method).mu_hat
     lhs = float(np.sum((mu_hat - mu) ** 2)) / n
 
     sigma_sq = config.sigma ** 2

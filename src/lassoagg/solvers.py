@@ -1,5 +1,6 @@
-"""Fixed-lambda Lasso by cyclic coordinate descent, KKT verification, and
-the square-root Lasso solved by the scaled alternation."""
+"""Fixed-lambda Lasso by cyclic coordinate descent and KKT verification,
+which serve as independent references for the homotopy, and the
+square-root Lasso read exactly off the Lasso path."""
 
 from __future__ import annotations
 
@@ -13,11 +14,8 @@ from .design import as_design, as_response
 from .errors import DegenerateVarianceError, InvalidInputError
 
 # Coefficients with magnitude above this count as part of the support.
-# Coordinate descent produces exact zeros, so this only guards round-off.
+# Coordinate descent and the path produce zeros up to round-off, which this guards.
 SUPPORT_THRESH = 1e-10
-
-DEFAULT_CD_TOL = 1e-9
-DEFAULT_CD_MAX_ITER = 100_000
 
 
 @dataclass
@@ -60,8 +58,7 @@ def _duality_gap(n, lam, beta, r, Xt_r):
     return primal - dual
 
 
-def lasso_cd(X, y, lam: float, tol: float = DEFAULT_CD_TOL,
-             max_iter: int = DEFAULT_CD_MAX_ITER,
+def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000,
              beta0: Optional[np.ndarray] = None) -> LassoFit:
     """Minimize (1/2n)||y - X b||^2 + lam*||b||_1 by cyclic coordinate descent.
 
@@ -125,43 +122,49 @@ def kkt_check(X, y, lam: float, beta, tol: float = 1e-7) -> KKTReport:
     return KKTReport(ok=worst <= tol, worst_violation=worst)
 
 
-def sqrt_lasso(X, y, lam: float, tol: float = 1e-8, max_iter: int = 500,
-               cd_tol: float = 1e-12, cd_max_iter: int = DEFAULT_CD_MAX_ITER,
-               beta0: Optional[np.ndarray] = None) -> SqrtLassoFit:
-    """Minimize (1/sqrt(n))||y - Xb|| + lam*||b||_1 by the scaled alternation.
+def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
+    """Minimize (1/sqrt(n))||y - Xb|| + lam*||b||_1, read off the Lasso path.
 
-    Alternates sigma <- ||y - Xb||/sqrt(n) with a Lasso fit at penalty
-    lam*sigma until the relative change of sigma is below tol.  Raises
-    DegenerateVarianceError when the residual collapses (interpolation
-    regime), where no variance estimate is defined.
+    The solution is the Lasso fit at the penalty t = c*||r(t)||, c = lam/sqrt(n).
+    On a path segment r(t) = r0 + t*s with r0 orthogonal to s, so ||r(t)||/t
+    grows as t falls: the root is unique and in closed form.  A missing or
+    truncated path of (X, y) is recomputed, so the fit does not depend on
+    it; it is unconverged only when the knot cap stops the path above the
+    root.  Raises DegenerateVarianceError when the residual collapses.
     """
+    from .path import compute_path  # path imports this module
+
     X = as_design(X)
     y = as_response(y, X.n)
     if lam <= 0:
         raise InvalidInputError("lam must be positive")
-    n = X.n
-    y_scale = float(np.linalg.norm(y)) / math.sqrt(n)
-    floor = 1e-12 * y_scale
-    sigma = y_scale
-    if sigma <= floor:
+    if not np.any(y):
         raise DegenerateVarianceError("degenerate variance estimate: zero response")
-    beta = np.zeros(X.p) if beta0 is None else np.array(beta0, dtype=float).ravel()
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        fit = lasso_cd(X, y, lam * sigma, tol=cd_tol, max_iter=cd_max_iter, beta0=beta)
-        beta = fit.beta
-        sigma_new = float(np.linalg.norm(y - X.entries @ beta)) / math.sqrt(n)
-        if sigma_new <= floor:
-            raise DegenerateVarianceError(
-                "degenerate variance estimate: residual collapsed (interpolation regime)")
-        if abs(sigma_new - sigma) <= tol * sigma:
-            sigma = sigma_new
-            converged = True
-            break
-        sigma = sigma_new
+    if path is None or path.truncated:
+        path = compute_path(X, y)
+    n, Xm = X.n, X.entries
+    c = lam / math.sqrt(n)
+    beta, k, converged = np.zeros(X.p), 0, True
+    # the last segment of a truncated path runs past its unknown next event
+    exact = path.segments[:-1] if path.truncated else path.segments
+    if c * float(np.linalg.norm(y)) < path.lambda0:
+        for k, seg in enumerate(exact, start=1):
+            A = Xm[:, list(seg.active)]
+            r0, s = y - A @ seg.a, A @ seg.b
+            rr, ss = float(r0 @ r0), float(s @ s)
+            if seg.lo <= c * math.sqrt(rr + seg.lo * seg.lo * ss):
+                denom = 1.0 - c * c * ss   # > 0 unless the root is at hi
+                t = c * math.sqrt(rr / denom) if denom > 0.0 else seg.hi
+                beta = seg.beta(min(max(t, seg.lo), seg.hi), X.p)
+                break
+        else:
+            if not path.truncated:
+                raise DegenerateVarianceError(
+                    "degenerate variance estimate: residual collapsed (interpolation regime)")
+            beta, converged = path.beta_at(float(path.knots[-1])), False
+    sigma = float(np.linalg.norm(y - Xm @ beta)) / math.sqrt(n)
     return SqrtLassoFit(beta=beta, lam=lam, sigma_hat_sq=sigma * sigma,
-                        iterations=it, converged=converged)
+                        iterations=k, converged=converged)
 
 
 def sqrt_lasso_universal_lambda(n: int, p: int) -> float:

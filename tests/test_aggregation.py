@@ -278,7 +278,7 @@ def test_aggregate_estimators_matches_grid_pipeline():
         beta = lasso_cd(X, y, lam, tol=1e-12, beta0=beta).beta
         betas.append(beta)
     via_betas = aggregate_estimators(X, y, betas, 0.5, method="q", tol_gap=1e-11)
-    fam = grid_support_family(X, y, lams, tol=1e-12)
+    fam = grid_support_family(X, y, lams)
     via_family = q_aggregate(precompute(X, y, fam), 0.5, tol_gap=1e-11)
     assert via_betas.objective == pytest.approx(via_family.objective, abs=1e-8)
     assert np.allclose(via_betas.mu_hat, via_family.mu_hat, atol=1e-6)

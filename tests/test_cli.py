@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import lassoagg.cli
+import lassoagg.path
 import lassoagg.pipelines
+import lassoagg.simulation
 from lassoagg.cli import (ParseError, canonical_json, load_matrix_csv,
                           load_vector_csv, main, save_matrix_csv)
 from lassoagg.path import compute_path
@@ -137,7 +139,7 @@ def test_tol_gap_with_crit_exits_2(data_files, command, capsys):
 
 
 @pytest.mark.parametrize("module, command, stalled_call", [
-    (lassoagg.cli, ["aggregate", "--sigma-mode", "sqrt_lasso"], 0),
+    (lassoagg.pipelines, ["aggregate", "--sigma-mode", "sqrt_lasso"], 0),
     (lassoagg.pipelines, ["sqrt-pipeline", "--grid-size", "5"], 0),  # the sigma fit
     (lassoagg.pipelines, ["sqrt-pipeline", "--grid-size", "5"], 3),  # a grid fit
 ])
@@ -243,3 +245,45 @@ def test_weights_command_stdout(capsys):
     assert report["results"]["bounds_hold"] is True
     assert report["results"]["total_mass"] == pytest.approx(1.0, abs=1e-10)
     assert len(report["results"]["log_inv_weight_by_size"]) == 7
+
+
+@pytest.mark.parametrize("x_level", ["0", "-5"])
+@pytest.mark.parametrize("bound", ["soi_path", "soi_supports", "oi_supports"])
+def test_simulate_rejects_nonpositive_x(x_level, bound, capsys):
+    code = main(["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "0.5",
+                 "--reps", "2", "--x", x_level, "--bound", bound])
+    assert code == 2
+    assert "x must be positive" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_sigma_rejected_with_sqrt_lasso_mode(data_files, capsys):
+    xpath, ypath, *_ = data_files
+    code = main(["aggregate", "--x", xpath, "--y", ypath, "--sigma-mode", "sqrt_lasso",
+                 "--sigma", "123"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInputError"
+    assert "--sigma" in err["message"]
+
+
+@pytest.mark.parametrize("argv, data_sets", [
+    (["aggregate", "--sigma-mode", "sqrt_lasso"], 1),
+    (["sqrt-pipeline", "--grid-size", "5"], 1),
+    (["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "0.5", "--reps", "3",
+      "--sigma-mode", "sqrt_lasso"], 3),
+])
+def test_one_path_per_data_set(tmp_path, data_files, monkeypatch, argv, data_sets):
+    xpath, ypath, *_ = data_files
+    if argv[0] != "simulate":
+        argv = [argv[0], "--x", xpath, "--y", ypath, *argv[1:]]
+    real = lassoagg.path.compute_path
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for module in (lassoagg.path, lassoagg.pipelines, lassoagg.simulation, lassoagg.cli):
+        monkeypatch.setattr(module, "compute_path", counted)
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == data_sets

@@ -167,7 +167,7 @@ def test_grid_family_orthonormal_closed_form():
     X = DesignMatrix(Xm)
     z = Xm.T @ y / n
     lams = [0.8 * np.max(np.abs(z)), 0.5 * np.max(np.abs(z)), 0.2 * np.max(np.abs(z))]
-    fam = grid_support_family(X, y, lams, tol=1e-13)
+    fam = grid_support_family(X, y, lams)
     expected = [Support(())]
     for lam in sorted(lams, reverse=True):
         T = Support(tuple(np.nonzero(np.abs(z) > lam)[0]))

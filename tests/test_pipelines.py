@@ -9,6 +9,8 @@ from lassoagg.errors import DegenerateVarianceError, InvalidInputError
 from lassoagg.path import SupportFamily
 from lassoagg.pipelines import (aggregate, geometric_grid, path_aggregate,
                                 sqrt_lasso_pipeline)
+from lassoagg.simulation import generate_instance
+from lassoagg.solvers import sqrt_lasso_universal_lambda
 from lassoagg.weights import log_inv_weight
 
 
@@ -145,3 +147,14 @@ def test_pipeline_determinism():
     assert r1.result.objective == r2.result.objective
     assert np.array_equal(r1.result.mu_hat, r2.result.mu_hat)
     assert r1.family.supports == r2.family.supports
+
+
+def test_sqrt_pipeline_ends_when_p_exceeds_n():
+    # the default grid reaches an interpolating fit; a higher floor does not
+    inst = generate_instance(100, 200, 5, 1.0, seed=3)
+    with pytest.raises(DegenerateVarianceError):
+        sqrt_lasso_pipeline(inst.X, inst.y)
+    lam_u = sqrt_lasso_universal_lambda(100, 200)
+    report = sqrt_lasso_pipeline(inst.X, inst.y, lambda_min=0.2 * lam_u)
+    assert report.fits_converged
+    assert 0.0 < report.sigma_hat_sq < float(inst.y @ inst.y) / 100

@@ -140,7 +140,7 @@ def test_sqrt_lasso_matches_scaled_family_minimum():
     y = rng.standard_normal(n)
     X = DesignMatrix(Xm)
     lam = 0.4
-    fit = sqrt_lasso(X, y, lam, tol=1e-12)
+    fit = sqrt_lasso(X, y, lam)
     obj = np.linalg.norm(y - Xm @ fit.beta) / math.sqrt(n) + lam * np.abs(fit.beta).sum()
 
     sig_hat = math.sqrt(fit.sigma_hat_sq)
@@ -157,7 +157,7 @@ def test_sqrt_lasso_sigma_consistency():
     Xm = rng.standard_normal((25, 6))
     y = rng.standard_normal(25)
     X = DesignMatrix(Xm)
-    fit = sqrt_lasso(X, y, 0.3, tol=1e-12)
+    fit = sqrt_lasso(X, y, 0.3)
     recomputed = np.sum((y - Xm @ fit.beta) ** 2) / 25
     assert fit.sigma_hat_sq == pytest.approx(recomputed, rel=1e-10)
 
