@@ -187,8 +187,8 @@ def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float,
     g(theta) = max_k grad^T (theta - e_k).
     """
     sigma_hat_sq = _clamp_sigma(sigma_hat_sq)
-    if tol_gap is not None and tol_gap <= 0:
-        raise InvalidInputError("tol_gap must be positive")
+    if tol_gap is not None and not 0 < tol_gap < math.inf:
+        raise InvalidInputError("tol_gap must be positive and finite")
     M = pre.size
     G = pre.gram
     c = _linear_coeffs(pre, sigma_hat_sq)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -261,6 +262,8 @@ def _resolve_sigma(args) -> Optional[float]:
     if args.sigma_mode == "known":
         if args.sigma is None:
             raise InvalidInputError("--sigma is required with --sigma-mode known")
+        if not 0 <= args.sigma < math.inf:
+            raise InvalidInputError("--sigma must be nonnegative and finite")
         return float(args.sigma)
     if args.sigma is not None:
         raise InvalidInputError("--sigma is not allowed with --sigma-mode sqrt_lasso")
@@ -282,7 +285,7 @@ def _cmd_aggregate(args):
     X = load_matrix_csv(args.x, args.header)
     y = load_vector_csv(args.y, args.header)
     report = path_aggregate(X, y, _resolve_sigma(args), method=args.method,
-                            path_opts={"max_knots": args.max_knots},
+                            max_knots=args.max_knots,
                             agg_opts=_agg_opts(args))
     config = {"command": "aggregate", "x": args.x, "y": args.y,
               "method": args.method, "sigma_mode": args.sigma_mode,

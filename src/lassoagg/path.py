@@ -4,14 +4,15 @@ The path is piecewise linear in the penalty: on each segment the active
 coefficients are beta_A(lam) = a - lam * b where a, b solve the active-set
 normal equations.  Knots are recorded where a variable enters (an inactive
 correlation reaches the penalty level) or drops (an active coefficient
-crosses zero).
+crosses zero).  One event loop computes the whole path: it starts at
+lambda_0 with an empty active set, so the first entry is its first event,
+and events tied with the current knot update the active set in place.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -110,8 +111,9 @@ def _active_solve(Xm: np.ndarray, y: np.ndarray, active: List[int],
                   signs: List[float]) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Solve the active-set system: a = G^-1 X_A^T y, b = n G^-1 s.
 
-    Returns (a, b, singular).  The caller handles singular systems by
-    dropping the most recently added dependent column.
+    Returns (a, b, singular); an empty active set gives two empty arrays.
+    The caller handles singular systems by dropping the most recently added
+    dependent column.
     """
     n = y.shape[0]
     A = Xm[:, active]
@@ -129,18 +131,21 @@ def _active_solve(Xm: np.ndarray, y: np.ndarray, active: List[int],
 def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     """Full Lasso homotopy from lambda_0 = max_j |X_j^T y|/n down to the floor.
 
-    Stops at the floor 1e-8 * lambda_0, when the residual correlation
-    vanishes, or after max_knots events (then truncated=True).  Event ties
-    within TIE_TOL are resolved by the lowest column index and flagged
-    degenerate.
+    One event loop starts at lambda_0 with an empty active set; its first
+    event is the entry of the column with the largest absolute correlation.
+    Events tied with the current knot within TIE_TOL are applied in place,
+    without a knot of their own, and ties are resolved by the lowest column
+    index; any event at a knot after the first flags the path degenerate.
+    The loop stops at the floor 1e-8 * lambda_0, when no event remains, or
+    once max_knots knots (lambda_0 included) are recorded; truncated=True
+    means that events remained at the cap.
     """
     X = as_design(X)
     y = as_response(y, X.n)
     n, p = X.n, X.p
     Xm = X.entries
 
-    c0 = Xm.T @ y / n
-    lam0 = float(np.max(np.abs(c0)))
+    lam0 = float(np.max(np.abs(Xm.T @ y / n)))
     if max_knots is None:
         max_knots = 10 * min(n, p) + 10
     if max_knots < 1:
@@ -151,22 +156,15 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
 
     degenerate = False
     truncated = False
-
-    # first entry: column with the largest absolute correlation
-    top = np.abs(c0) >= lam0 * (1.0 - TIE_TOL)
-    first = int(np.argmax(top))  # lowest index among ties
-    if int(np.sum(top)) > 1:
-        degenerate = True
-    active: List[int] = [first]
-    signs: List[float] = [math.copysign(1.0, c0[first])]
-
+    active: List[int] = []
+    signs: List[float] = []
     knots: List[float] = [lam0]
     segments: List[PathSegment] = []
     lam_cur = lam0
     nonzero_cols = X.column_norms_sq > 0.0
     # columns whose event fired at the current knot; they may not fire again
     # at the same lambda (prevents add/drop cycling on simultaneous events)
-    fired_at_knot = {first}
+    fired_at_knot: Set[int] = set()
 
     while True:
         a, b, singular = _active_solve(Xm, y, active, signs)
@@ -177,7 +175,7 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
             signs.pop()
             a, b, singular = _active_solve(Xm, y, active, signs)
         if singular:
-            # single zero-norm column cannot occur (lam0 > 0 selected it)
+            # single zero-norm column cannot occur (only nonzero columns enter)
             break
 
         A = Xm[:, active]
@@ -209,7 +207,9 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
                     cand.append((min(lam_d, lam_cur), i, "drop", 0.0))
 
         cand = [c for c in cand if c[0] >= lambda_floor]
-        if not cand:
+        # the cap is checked once the first event at the last knot has fired
+        if not cand or (fired_at_knot and len(knots) >= max_knots):
+            truncated = bool(cand)
             segments.append(PathSegment(hi=lam_cur, lo=lambda_floor,
                                         active=tuple(active), a=a, b=b))
             break
@@ -220,23 +220,16 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
             degenerate = True
         lam_next, j_ev, kind, sgn = min(tied, key=lambda c: c[1])
 
-        if lam_next >= at_knot and len(active) > (1 if kind == "drop" else 0):
-            # simultaneous event at the current knot: a zero-length segment;
-            # update the active set in place without recording a new knot
+        if lam_next < at_knot:
+            segments.append(PathSegment(hi=lam_cur, lo=lam_next,
+                                        active=tuple(active), a=a, b=b))
+            knots.append(lam_next)
+            lam_cur = lam_next
+            fired_at_knot = set()
+        elif fired_at_knot:
+            # another event at the current knot: a zero-length segment, so
+            # the active set is updated in place without recording a knot
             degenerate = True
-            if kind == "add":
-                active.append(j_ev)
-                signs.append(sgn)
-            else:
-                k = active.index(j_ev)
-                active.pop(k)
-                signs.pop(k)
-            fired_at_knot.add(j_ev)
-            continue
-
-        segments.append(PathSegment(hi=lam_cur, lo=lam_next,
-                                    active=tuple(active), a=a, b=b))
-        knots.append(lam_next)
         if kind == "add":
             active.append(j_ev)
             signs.append(sgn)
@@ -244,36 +237,7 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
             k = active.index(j_ev)
             active.pop(k)
             signs.pop(k)
-        lam_cur = lam_next
-        fired_at_knot = {j_ev}
-
-        if not active:
-            # all variables dropped; path is zero below unless something re-enters
-            r = y  # beta = 0
-            c = Xm.T @ r / n
-            lam_re = float(np.max(np.abs(c)))
-            if lam_re < lam_cur * (1.0 - TIE_TOL) and lam_re >= lambda_floor:
-                top = np.abs(c) >= lam_re * (1.0 - TIE_TOL)
-                nxt = int(np.argmax(top))
-                segments.append(PathSegment(hi=lam_cur, lo=lam_re, active=(),
-                                            a=np.empty(0), b=np.empty(0)))
-                knots.append(lam_re)
-                active = [nxt]
-                signs = [math.copysign(1.0, c[nxt])]
-                lam_cur = lam_re
-                fired_at_knot = {nxt}
-            else:
-                segments.append(PathSegment(hi=lam_cur, lo=lambda_floor, active=(),
-                                            a=np.empty(0), b=np.empty(0)))
-                break
-
-        if len(knots) >= max_knots:
-            truncated = True
-            a, b, singular = _active_solve(Xm, y, active, signs)
-            if not singular:
-                segments.append(PathSegment(hi=lam_cur, lo=lambda_floor,
-                                            active=tuple(active), a=a, b=b))
-            break
+        fired_at_knot.add(j_ev)
 
     return LassoPath(p=p, knots=np.asarray(knots), segments=segments,
                      lambda_floor=lambda_floor, truncated=truncated,

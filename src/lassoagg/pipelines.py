@@ -69,7 +69,7 @@ def aggregate_estimators(X, y, betas: Sequence[np.ndarray], sigma_hat_sq: float,
 
 
 def path_aggregate(X, y, sigma_hat_sq: Optional[float] = None, method: str = "q",
-                   path_opts: Optional[dict] = None,
+                   max_knots: Optional[int] = None,
                    agg_opts: Optional[dict] = None) -> PipelineReport:
     """Two-step procedure: Lasso path, then aggregation of its supports.
 
@@ -81,7 +81,7 @@ def path_aggregate(X, y, sigma_hat_sq: Optional[float] = None, method: str = "q"
     X = as_design(X)
     y = as_response(y, X.n)
     t0 = time.perf_counter()
-    path = compute_path(X, y, **(path_opts or {}))
+    path = compute_path(X, y, max_knots=max_knots)
     fits_converged = True
     if sigma_hat_sq is None:
         fit = sqrt_lasso(X, y, sqrt_lasso_universal_lambda(X.n, X.p), path=path)

@@ -59,6 +59,8 @@ def generate_instance(n: int, p: int, s: int, sigma: float,
     """
     if not 0 <= s <= p:
         raise InvalidInputError("need 0 <= s <= p")
+    if not 0 <= sigma < math.inf:
+        raise InvalidInputError("sigma must be nonnegative and finite")
     rng = _rng(seed)
     if design_kind == "iid_gaussian":
         Xm = rng.standard_normal((n, p))
@@ -112,8 +114,8 @@ def _bound_terms(consts, biases, sizes, sigma_hat_sq: float, n: int, p: int) -> 
 def _rhs_supports(consts, family: SupportFamily, mu, X,
                   sigma_hat_sq: float, sigma_sq: float, x: float,
                   cache: Optional[ProjectionCache]) -> Tuple[float, List[float], Support]:
-    if x <= 0:
-        raise InvalidInputError("x must be positive")
+    if not 0 < x < math.inf:
+        raise InvalidInputError("x must be positive and finite")
     X = as_design(X)
     n = X.n
     biases = [float(np.sum(project(X, T, mu, cache=cache).residual ** 2)) / n
@@ -171,8 +173,8 @@ class TrialConfig:
 def run_oracle_trial(config: TrialConfig) -> OracleCheck:
     """One replication: generate data, run the path pipeline, compare the
     realized loss with the matching oracle-inequality bound."""
-    if config.x <= 0:
-        raise InvalidInputError("x must be positive")
+    if not 0 < config.x < math.inf:
+        raise InvalidInputError("x must be positive and finite")
     inst = generate_instance(config.n, config.p, config.s, config.sigma,
                              design_kind=config.design_kind, seed=config.seed,
                              rho=config.rho)

@@ -129,6 +129,18 @@ def test_nonpositive_tol_gap_exits_2(data_files, command, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("tol_gap", ["nan", "inf"])
+@pytest.mark.parametrize("command", SOLVER_COMMANDS)
+def test_nonfinite_tol_gap_exits_2(data_files, command, tol_gap, capsys):
+    xpath, ypath, *_ = data_files
+    code = main([command[0], "--x", xpath, "--y", ypath, *command[1:],
+                 "--tol-gap", tol_gap])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInputError"
+    assert "tol_gap" in err["message"]
+
+
 @pytest.mark.parametrize("command", SOLVER_COMMANDS)
 def test_tol_gap_with_crit_exits_2(data_files, command, capsys):
     xpath, ypath, *_ = data_files
@@ -254,6 +266,32 @@ def test_simulate_rejects_nonpositive_x(x_level, bound, capsys):
                  "--reps", "2", "--x", x_level, "--bound", bound])
     assert code == 2
     assert "x must be positive" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("x_level", ["nan", "inf"])
+def test_simulate_rejects_nonfinite_x(x_level, capsys):
+    code = main(["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "0.5",
+                 "--reps", "2", "--x", x_level])
+    assert code == 2
+    assert "x must be positive and finite" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_aggregate_rejects_negative_or_nonfinite_sigma(data_files, sigma, capsys):
+    xpath, ypath, *_ = data_files
+    code = main(["aggregate", "--x", xpath, "--y", ypath, "--sigma", sigma])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInputError"
+    assert "--sigma must be nonnegative and finite" in err["message"]
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_simulate_rejects_negative_or_nonfinite_sigma(sigma, capsys):
+    code = main(["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", sigma,
+                 "--reps", "2"])
+    assert code == 2
+    assert "sigma must be nonnegative and finite" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_sigma_rejected_with_sqrt_lasso_mode(data_files, capsys):

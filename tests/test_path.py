@@ -121,11 +121,39 @@ def test_truncation_flag():
     rng = np.random.default_rng(37)
     Xm = rng.standard_normal((20, 10))
     y = rng.standard_normal(20)
-    path = compute_path(DesignMatrix(Xm), y, max_knots=3)
-    assert path.truncated
-    assert path.knots.size == 3
-    fam = path_support_family(path)
-    assert Support(()) in fam
+    full = compute_path(DesignMatrix(Xm), y)
+    for cap in (1, 2, 3):
+        path = compute_path(DesignMatrix(Xm), y, max_knots=cap)
+        assert path.truncated
+        # the cap counts knots with lambda_0 included
+        assert path.knots.tolist() == full.knots[:cap].tolist()
+        fam = path_support_family(path)
+        assert Support(()) in fam
+
+
+def test_natural_end_on_the_cap_is_not_truncated():
+    X = DesignMatrix(2.0 * np.eye(4)[:, :3])
+    y = np.array([1.0, 0.8, 0.5, 0.0])
+    full = compute_path(X, y)
+    assert full.knots.size == 3 and not full.truncated
+    capped = compute_path(X, y, max_knots=3)
+    assert not capped.truncated
+    assert capped.knots.tolist() == full.knots.tolist()
+    assert compute_path(X, y, max_knots=2).truncated
+
+
+@pytest.mark.parametrize("y, knots, supports, degenerate", [
+    # column 1 ties with column 0 at lambda_0 and enters in place, without a knot
+    ((1.0, 1.0, 0.5, 0.0), [0.5, 0.25], [(0, 1), (0, 1, 2)], True),
+    # a lone first entry is not a tie
+    ((1.0, 0.8, 0.5, 0.0), [0.5, 0.4, 0.25], [(0,), (0, 1), (0, 1, 2)], False),
+])
+def test_tied_events_share_a_knot(y, knots, supports, degenerate):
+    path = compute_path(DesignMatrix(2.0 * np.eye(4)[:, :3]), np.array(y))
+    assert path.knots.tolist() == pytest.approx(knots, rel=1e-12)
+    assert [T.indices for T in path.supports] == supports
+    assert path.degenerate is degenerate
+    assert not path.truncated
 
 
 def test_duplicated_columns_do_not_crash():

@@ -45,8 +45,8 @@ def test_path_aggregate_truncated_prefix():
     rng = np.random.default_rng(2)
     Xm = rng.standard_normal((20, 8))
     y = rng.standard_normal(20)
-    full = path_aggregate(Xm, y, 0.5, path_opts={})
-    short = path_aggregate(Xm, y, 0.5, path_opts={"max_knots": 2})
+    full = path_aggregate(Xm, y, 0.5)
+    short = path_aggregate(Xm, y, 0.5, max_knots=2)
     assert short.path_meta["truncated"]
     # the prefix family is contained in the full family
     assert set(short.family.supports) <= set(full.family.supports)

@@ -65,6 +65,9 @@ def test_generate_instance_invalid_args():
         generate_instance(10, 4, 1, 1.0, design_kind="toeplitz")
     with pytest.raises(InvalidInputError):
         generate_instance(10, 4, 1, 1.0, noise_kind="cauchy")
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            generate_instance(10, 4, 1, sigma)
 
 
 def test_soi_rhs_empty_support_hand_formula():
@@ -93,8 +96,9 @@ def test_oi_rhs_hand_formula_with_bias():
 def test_rhs_requires_positive_x():
     inst = generate_instance(6, 3, 0, 1.0, seed=1)
     fam = SupportFamily.from_supports([Support(())])
-    with pytest.raises(InvalidInputError):
-        soi_rhs_supports(fam, np.zeros(6), inst.X, 1.0, 1.0, 0.0)
+    for x in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            soi_rhs_supports(fam, np.zeros(6), inst.X, 1.0, 1.0, x)
 
 
 def test_noiseless_trial_holds():
