@@ -75,17 +75,23 @@ class CritResult:
 
 def precompute(X, y, family: SupportFamily,
                cache: Optional[ProjectionCache] = None) -> PrecomputedFits:
-    """Materialize the per-support least-squares fits and their Gram matrix."""
+    """Materialize the per-support least-squares fits and their Gram matrix.
+
+    A family that carries fits of y on X (a path family) uses them; the
+    supports of any other family are projected by pivoted QR.
+    """
     X = as_design(X)
     y = as_response(y, X.n)
     if len(family) == 0:
         raise InvalidInputError("support family is empty")
-    if cache is None:
-        cache = ProjectionCache(X)
-    M = len(family)
-    F = np.empty((X.n, M))
-    for j, T in enumerate(family):
-        F[:, j] = project(X, T, y, cache=cache).fitted
+    if family.fits is not None and family.fits.of(X, y):
+        F = family.fits.fitted
+    else:
+        if cache is None:
+            cache = ProjectionCache(X)
+        F = np.empty((X.n, len(family)))
+        for j, T in enumerate(family):
+            F[:, j] = project(X, T, y, cache=cache).fitted
     gram = F.T @ F
     return PrecomputedFits(
         family=family,

@@ -314,6 +314,7 @@ def _cmd_simulate(args):
                          design_kind=args.design, rho=args.rho)
     report = monte_carlo(config, reps=args.reps, parallelism=max(1, args.threads))
     checks = report.pop("checks")
+    pinned = report.pop("pinned_blas_libraries")
     results = dict(report)
     results["lhs"] = [c.lhs for c in checks]
     results["rhs"] = [c.rhs for c in checks]
@@ -322,7 +323,8 @@ def _cmd_simulate(args):
                    "seed": args.seed, "method": args.method, "bound": args.bound,
                    "sigma_mode": args.sigma_mode, "design": args.design,
                    "rho": args.rho}
-    write_report(config_echo, results, {"threads": args.threads}, args.out)
+    write_report(config_echo, results,
+                 {"threads": args.threads, "pinned_blas_libraries": pinned}, args.out)
     return 0
 
 

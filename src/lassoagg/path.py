@@ -7,17 +7,22 @@ correlation reaches the penalty level) or drops (an active coefficient
 crosses zero).  One event loop computes the whole path: it starts at
 lambda_0 with an empty active set, so the first entry is its first event,
 and events tied with the current knot update the active set in place.
+
+The normal equations are solved through one QR factorisation X_A = Q R,
+updated column by column as variables enter and drop, so each segment also
+yields the least-squares fit P_A y = Q Q^T y of its support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
-from .design import Support, as_design, as_response
+from .design import RANK_TOL, DesignMatrix, Support, as_design, as_response
 from .errors import InvalidInputError
 # lasso_cd is unused here, but perfbench/tracing.py wraps it at this module
 from .solvers import SUPPORT_THRESH, lasso_cd  # noqa: F401
@@ -34,6 +39,7 @@ class PathSegment:
     active: Tuple[int, ...]   # active columns, in order of entry
     a: np.ndarray             # beta_active(lam) = a - lam * b
     b: np.ndarray
+    fit: np.ndarray           # least-squares fit P_A y = X_A a
 
     @property
     def support(self) -> Support:
@@ -52,6 +58,8 @@ class LassoPath:
     knots: np.ndarray                  # strictly decreasing, knots[0] = lambda_0
     segments: List[PathSegment]        # segment k covers (knots[k+1], knots[k])
     lambda_floor: float
+    design: DesignMatrix = field(repr=False)      # the data the path was computed from
+    response: np.ndarray = field(repr=False)
     truncated: bool = False
     degenerate: bool = False
 
@@ -80,22 +88,37 @@ class LassoPath:
         return [0.5 * (seg.hi + seg.lo) for seg in self.segments]
 
 
+class FamilyFits(NamedTuple):
+    """Least-squares fits of y on X: column j is P_T y for the j-th support."""
+    X: DesignMatrix
+    y: np.ndarray
+    fitted: np.ndarray
+
+    def of(self, X: DesignMatrix, y: np.ndarray) -> bool:
+        """Whether these are fits of the response y on the design X."""
+        return ((X is self.X or np.array_equal(X.entries, self.X.entries))
+                and np.array_equal(y, self.y))
+
+
 @dataclass
 class SupportFamily:
     supports: Tuple[Support, ...]
     source: str = "external"
     meta: dict = field(default_factory=dict, compare=False)
+    # fits carried from the homotopy for path families; precompute projects
+    # the supports of families without them
+    fits: Optional[FamilyFits] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._keys = {T.indices for T in self.supports}
 
     @classmethod
     def from_supports(cls, supports: Sequence[Support], source: str = "external",
                       include_empty: bool = True) -> "SupportFamily":
-        seen = []
-        if include_empty:
-            seen.append(Support(()))
+        first = {(): Support(())} if include_empty else {}
         for T in supports:
-            if T not in seen:
-                seen.append(T)
-        return cls(supports=tuple(seen), source=source)
+            first.setdefault(T.indices, T)
+        return cls(supports=tuple(first.values()), source=source)
 
     def __len__(self):
         return len(self.supports)
@@ -104,28 +127,7 @@ class SupportFamily:
         return iter(self.supports)
 
     def __contains__(self, T):
-        return T in self.supports
-
-
-def _active_solve(Xm: np.ndarray, y: np.ndarray, active: List[int],
-                  signs: List[float]) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Solve the active-set system: a = G^-1 X_A^T y, b = n G^-1 s.
-
-    Returns (a, b, singular); an empty active set gives two empty arrays.
-    The caller handles singular systems by dropping the most recently added
-    dependent column.
-    """
-    n = y.shape[0]
-    A = Xm[:, active]
-    G = A.T @ A
-    s = np.asarray(signs)
-    try:
-        c, low = scipy.linalg.cho_factor(G)
-        a = scipy.linalg.cho_solve((c, low), A.T @ y)
-        b = n * scipy.linalg.cho_solve((c, low), s)
-        return a, b, False
-    except np.linalg.LinAlgError:
-        return np.zeros(len(active)), np.zeros(len(active)), True
+        return isinstance(T, Support) and T.indices in self._keys
 
 
 def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
@@ -135,7 +137,10 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     event is the entry of the column with the largest absolute correlation.
     Events tied with the current knot within TIE_TOL are applied in place,
     without a knot of their own, and ties are resolved by the lowest column
-    index; any event at a knot after the first flags the path degenerate.
+    index, an entry with sign +1 before one with sign -1; any event at a
+    knot after the first flags the path degenerate.  A column whose entry
+    would make X_A rank deficient (|R_kk| at most RANK_TOL times the largest
+    active column norm) is not added, which also flags the path degenerate.
     The loop stops at the floor 1e-8 * lambda_0, when no event remains, or
     once max_knots knots (lambda_0 included) are recorded; truncated=True
     means that events remained at the cap.
@@ -151,7 +156,8 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     if max_knots < 1:
         raise InvalidInputError("max_knots must be >= 1")
     if lam0 <= 0.0:
-        return LassoPath(p=p, knots=np.empty(0), segments=[], lambda_floor=0.0)
+        return LassoPath(p=p, knots=np.empty(0), segments=[], lambda_floor=0.0,
+                         design=X, response=y)
     lambda_floor = 1e-8 * lam0
 
     degenerate = False
@@ -161,93 +167,137 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     knots: List[float] = [lam0]
     segments: List[PathSegment] = []
     lam_cur = lam0
-    nonzero_cols = X.column_norms_sq > 0.0
+    col_norms = np.sqrt(X.column_norms_sq)
+    enterable = col_norms > 0.0       # nonzero columns that are not active
+    # X_A = Q R with the columns in order of entry (economic form)
+    Q = np.empty((n, 0))
+    R = np.empty((0, 0))
     # columns whose event fired at the current knot; they may not fire again
     # at the same lambda (prevents add/drop cycling on simultaneous events)
-    fired_at_knot: Set[int] = set()
+    fired = np.zeros(p, dtype=bool)
+    fired_at_knot: List[int] = []
+    trtrs = scipy.linalg.lapack.dtrtrs
 
     while True:
-        a, b, singular = _active_solve(Xm, y, active, signs)
-        while singular and len(active) > 1:
-            # drop the most recently added column; it is dependent on the rest
-            degenerate = True
-            active.pop()
-            signs.pop()
-            a, b, singular = _active_solve(Xm, y, active, signs)
-        if singular:
-            # single zero-norm column cannot occur (only nonzero columns enter)
-            break
-
-        A = Xm[:, active]
-        fit0 = A @ a          # X beta at lam = 0 along this segment
-        slope = A @ b
-        u = Xm.T @ (y - fit0) / n
-        w = Xm.T @ slope / n
+        z = Q.T @ y
+        fit = Q @ z                       # P_A y: X beta at lam = 0 on this segment
+        if active:
+            # a = R^-1 Q^T y and b = n R^-1 R^-T s, by LAPACK triangular solves
+            v = trtrs(R, np.asarray(signs), trans=1)[0]
+            ab = trtrs(R, np.column_stack((z, v)))[0]
+            a, b = ab[:, 0], n * ab[:, 1]
+            slope = n * (Q @ v)           # X_A b
+        else:
+            a = b = np.zeros(0)
+            slope = np.zeros(n)
+        u, w = (np.stack((y - fit, slope)) @ Xm) / n
 
         # candidate events at or below lam_cur; events tied with the current
         # knot are allowed unless that column already fired there
         upper = lam_cur * (1.0 + TIE_TOL)
         at_knot = lam_cur * (1.0 - TIE_TOL)
-        cand: List[Tuple[float, int, str, float]] = []
-        active_set = set(active)
-        for j in range(p):
-            if j in active_set or not nonzero_cols[j]:
-                continue
-            for sgn in (1.0, -1.0):
-                denom = sgn - w[j]
-                if abs(denom) < 1e-14:
-                    continue
-                lam_e = u[j] / denom
-                if 0.0 < lam_e < upper and not (lam_e >= at_knot and j in fired_at_knot):
-                    cand.append((min(lam_e, lam_cur), j, "add", sgn))
-        for idx, i in enumerate(active):
-            if b[idx] != 0.0:
-                lam_d = a[idx] / b[idx]
-                if 0.0 < lam_d < upper and not (lam_d >= at_knot and i in fired_at_knot):
-                    cand.append((min(lam_d, lam_cur), i, "drop", 0.0))
+        act = np.asarray(active, dtype=np.intp)
+        denom = np.stack((1.0 - w, -1.0 - w))     # entry with sign +1, -1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_add = u / denom
+            lam_drop = a / b
+        ok_add = _allowed(lam_add, enterable & (np.abs(denom) >= 1e-14), fired,
+                          upper, at_knot)
+        ok_drop = _allowed(lam_drop, b != 0.0, fired[act], upper, at_knot)
+        # row-major order lists every +1 entry before any -1 entry
+        sign_row, add_cols = np.nonzero(ok_add)
+        lams = np.minimum(np.concatenate((lam_add[ok_add], lam_drop[ok_drop])), lam_cur)
+        cols = np.concatenate((add_cols, act[ok_drop]))
+        sgns = np.concatenate((1.0 - 2.0 * sign_row, np.zeros(np.count_nonzero(ok_drop))))
+        keep = lams >= lambda_floor
+        lams, cols, sgns = lams[keep], cols[keep], sgns[keep]
 
-        cand = [c for c in cand if c[0] >= lambda_floor]
         # the cap is checked once the first event at the last knot has fired
-        if not cand or (fired_at_knot and len(knots) >= max_knots):
-            truncated = bool(cand)
-            segments.append(PathSegment(hi=lam_cur, lo=lambda_floor,
-                                        active=tuple(active), a=a, b=b))
+        if not lams.size or (fired_at_knot and len(knots) >= max_knots):
+            truncated = bool(lams.size)
+            segments.append(PathSegment(hi=lam_cur, lo=lambda_floor, active=tuple(active),
+                                        a=a, b=b, fit=fit))
             break
 
-        lam_next = max(c[0] for c in cand)
-        tied = [c for c in cand if c[0] >= lam_next * (1.0 - TIE_TOL)]
-        if len(tied) > 1:
+        tied = lams >= lams.max() * (1.0 - TIE_TOL)
+        if np.count_nonzero(tied) > 1:
             degenerate = True
-        lam_next, j_ev, kind, sgn = min(tied, key=lambda c: c[1])
+        # lowest column first; an entry with sign +1 precedes its -1 twin
+        ev = int(np.flatnonzero(tied & (cols == cols[tied].min()))[0])
+        lam_next, j_ev, sgn = float(lams[ev]), int(cols[ev]), float(sgns[ev])
 
         if lam_next < at_knot:
-            segments.append(PathSegment(hi=lam_cur, lo=lam_next,
-                                        active=tuple(active), a=a, b=b))
+            segments.append(PathSegment(hi=lam_cur, lo=lam_next, active=tuple(active),
+                                        a=a, b=b, fit=fit))
             knots.append(lam_next)
             lam_cur = lam_next
-            fired_at_knot = set()
+            fired[fired_at_knot] = False
+            fired_at_knot = []
         elif fired_at_knot:
             # another event at the current knot: a zero-length segment, so
             # the active set is updated in place without recording a knot
             degenerate = True
-        if kind == "add":
-            active.append(j_ev)
-            signs.append(sgn)
+        if sgn != 0.0:
+            Q, R, independent = _insert_column(Q, R, Xm[:, j_ev],
+                                               RANK_TOL * col_norms[active + [j_ev]].max())
+            if independent:
+                active.append(j_ev)
+                signs.append(sgn)
+                enterable[j_ev] = False
+            else:
+                # X_j lies in the span of the active columns
+                degenerate = True
         else:
             k = active.index(j_ev)
+            Q, R = scipy.linalg.qr_delete(Q, R, k, which="col", check_finite=False)
+            Q, R = Q[:, :R.shape[1]], R[:R.shape[1]]
             active.pop(k)
             signs.pop(k)
-        fired_at_knot.add(j_ev)
+            enterable[j_ev] = True
+        fired[j_ev] = True
+        fired_at_knot.append(j_ev)
 
     return LassoPath(p=p, knots=np.asarray(knots), segments=segments,
                      lambda_floor=lambda_floor, truncated=truncated,
-                     degenerate=degenerate)
+                     degenerate=degenerate, design=X, response=y)
+
+
+def _allowed(lam: np.ndarray, ok: np.ndarray, fired: np.ndarray, upper: float,
+             at_knot: float) -> np.ndarray:
+    """Events in (0, upper) among ok, except those of columns that already
+    fired at the current knot (lam >= at_knot)."""
+    return ok & (0.0 < lam) & (lam < upper) & ~((lam >= at_knot) & fired)
+
+
+def _insert_column(Q: np.ndarray, R: np.ndarray, x: np.ndarray,
+                   tol: float) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Append column x to X_A = Q R.  Returns (Q, R, True), or the given
+    factors and False when the new diagonal entry |R_kk| is at most tol."""
+    k = R.shape[1]
+    if k == 0:
+        norm = float(np.sqrt(x @ x))
+        return (x / norm)[:, None], np.array([[norm]]), True
+    if k >= Q.shape[0]:
+        return Q, R, False
+    try:
+        Q1, R1 = scipy.linalg.qr_insert(Q, R, x, k, which="col", check_finite=False)
+    except np.linalg.LinAlgError:   # x is numerically in the span of Q
+        return Q, R, False
+    if abs(R1[k, k]) <= tol:
+        return Q, R, False
+    return Q1, R1, True
 
 
 def path_support_family(path: LassoPath) -> SupportFamily:
     """Deduplicated supports appearing on the path, empty support included,
-    in order of first appearance."""
-    fam = SupportFamily.from_supports(path.supports, source="path")
+    in order of first appearance, carrying their least-squares fits."""
+    first = {(): np.zeros(path.design.n)}
+    for seg in path.segments:
+        first.setdefault(seg.support.indices, seg.fit)
+    fitted = np.column_stack(list(first.values()))
+    fitted.setflags(write=False)
+    fam = SupportFamily(supports=tuple(Support(T) for T in first), source="path",
+                        fits=FamilyFits(path.design, path.response, fitted))
     fam.meta["knot_count"] = int(path.knots.size)
     fam.meta["truncated"] = path.truncated
     fam.meta["degenerate"] = path.degenerate

@@ -4,9 +4,11 @@ tiny p."""
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Tuple
@@ -57,6 +59,8 @@ def generate_instance(n: int, p: int, s: int, sigma: float,
     Gaussian(0, sigma^2) by default, Rademacher*sigma as a subgaussian
     alternative.
     """
+    if n < 1 or p < 1:
+        raise InvalidInputError("design matrix must have n >= 1 and p >= 1")
     if not 0 <= s <= p:
         raise InvalidInputError("need 0 <= s <= p")
     if not 0 <= sigma < math.inf:
@@ -191,9 +195,7 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
         raise InvalidInputError(f"unknown sigma mode {config.sigma_mode!r}")
 
     family = path_support_family(path)
-    cache = ProjectionCache(X)
-    pre = precompute(X, y, family, cache=cache)
-    mu_hat = aggregate(pre, sigma_hat_sq, config.method).mu_hat
+    mu_hat = aggregate(precompute(X, y, family), sigma_hat_sq, config.method).mu_hat
     lhs = float(np.sum((mu_hat - mu) ** 2)) / n
 
     sigma_sq = config.sigma ** 2
@@ -214,7 +216,7 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
     elif config.bound in ("soi_supports", "oi_supports"):
         consts = SOI if config.bound == "soi_supports" else OI
         rhs, _, T = _rhs_supports(consts, family, mu, X, sigma_hat_sq, sigma_sq,
-                                  config.x, cache)
+                                  config.x, None)
         minimizing = f"T={T.one_based()}"
     else:
         raise InvalidInputError(f"unknown bound {config.bound!r}")
@@ -233,24 +235,80 @@ def exhaustive_spa(X, y, sigma_hat_sq: float, tol_gap: Optional[float] = None,
                     for k in range(X.p + 1)
                     for c in combinations(range(X.p), k)]
     family = SupportFamily.from_supports(all_supports, source="external")
-    pre = precompute(X, y, family, cache=ProjectionCache(X))
+    pre = precompute(X, y, family)
     return q_aggregate(pre, sigma_hat_sq, tol_gap=tol_gap, max_iter=max_iter)
+
+
+def _openblas_thread_controls() -> list:
+    """The (get, set) thread-count functions of every OpenBLAS library
+    mapped into this process (numpy and scipy each bundle one)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return []
+    names = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+             for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        found = next((pair for pair in names if all(hasattr(lib, fn) for fn in pair)), None)
+        if found is not None:
+            get, set_ = getattr(lib, found[0]), getattr(lib, found[1])
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            controls.append((get, set_))
+    return controls
+
+
+def _pin_blas_threads() -> None:
+    """Pool initializer: one BLAS thread in this worker process; does
+    nothing where no OpenBLAS library is found."""
+    for _, set_threads in _openblas_thread_controls():
+        set_threads(1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """One BLAS thread in this process for the duration of the block, the
+    previous counts restored after; yields the number of OpenBLAS libraries
+    pinned."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
 
 
 def monte_carlo(config: TrialConfig, reps: int, parallelism: int = 1) -> dict:
     """Run seeded replications of run_oracle_trial and aggregate coverage.
 
-    Replication i uses seed config.seed + i; the report is identical for any
-    parallelism level.
+    Replication i uses seed config.seed + i.  Every replication runs with
+    one BLAS thread, in the worker processes for parallelism > 1 and in
+    this process otherwise, so that workers do not oversubscribe the cores
+    and the report is identical for any parallelism level;
+    "pinned_blas_libraries" counts the OpenBLAS libraries so pinned.
     """
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
     configs = [dataclasses.replace(config, seed=config.seed + i) for i in range(reps)]
     if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        # forked workers map the same libraries as this process
+        pinned = len(_openblas_thread_controls())
+        with ProcessPoolExecutor(max_workers=parallelism,
+                                 initializer=_pin_blas_threads) as pool:
             checks = list(pool.map(run_oracle_trial, configs, chunksize=max(1, reps // (4 * parallelism))))
     else:
-        checks = [run_oracle_trial(c) for c in configs]
+        with _one_blas_thread() as pinned:
+            checks = [run_oracle_trial(c) for c in configs]
 
     lhs = [c.lhs for c in checks]
     rhs = [c.rhs for c in checks]
@@ -265,4 +323,5 @@ def monte_carlo(config: TrialConfig, reps: int, parallelism: int = 1) -> dict:
         "rhs_quantiles": {str(q): float(np.quantile(rhs, q)) for q in qs},
         "x_level": config.x,
         "checks": checks,
+        "pinned_blas_libraries": pinned,
     }

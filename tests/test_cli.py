@@ -239,6 +239,31 @@ def test_simulate_command_and_thread_invariance(tmp_path):
     assert len(r1["results"]["lhs"]) == 3
 
 
+def test_simulate_results_do_not_depend_on_pinned_workers(tmp_path):
+    from lassoagg.simulation import _openblas_thread_controls
+    # replication 107 comes out differently with one and two BLAS threads
+    args = ["simulate", "--n", "100", "--p", "200", "--s", "5", "--sigma", "1",
+            "--reps", "2", "--seed", "106"]
+    results, pinned = [], []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"t{threads}.json"
+        assert main(args + ["--threads", threads, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        results.append(canonical_json(report["results"]))
+        pinned.append(report["environment"]["pinned_blas_libraries"])
+    assert results[0] == results[1] == results[2]
+    # every replication runs with one thread in each OpenBLAS library
+    assert pinned == 3 * [len(_openblas_thread_controls())]
+
+
+@pytest.mark.parametrize("n, p", [("0", "3"), ("3", "0")])
+def test_simulate_rejects_an_empty_design(n, p, capsys):
+    code = main(["simulate", "--n", n, "--p", p, "--s", "0", "--sigma", "1", "--reps", "2"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "design matrix must have n >= 1 and p >= 1"
+
+
 def test_results_section_byte_stable(tmp_path, data_files):
     xpath, ypath, *_ = data_files
     outs = []

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from lassoagg.design import DesignMatrix, Support
+from lassoagg.design import RANK_TOL, DesignMatrix, Support
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import (SupportFamily, compute_path, grid_support_family,
                            path_support_family)
-from lassoagg.solvers import kkt_check, lasso_cd
+from lassoagg.simulation import generate_instance
+from lassoagg.solvers import SUPPORT_THRESH, kkt_check, lasso_cd
 
 
 def test_scalar_homotopy():
@@ -168,6 +169,49 @@ def test_duplicated_columns_do_not_crash():
         assert not {0, 1} <= set(T.indices)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-12])
+def test_dependent_entry_is_refused_and_flagged(offset):
+    # column 1 is column 0 (exactly, or with |R_kk| ~ 1e-12 * ||X_1|| below
+    # RANK_TOL): it ties with column 0 at lambda_0 and cannot enter
+    assert offset < RANK_TOL
+    rng = np.random.default_rng(7)
+    col = rng.standard_normal(12)
+    bump = np.zeros(12)
+    bump[0] = offset * np.linalg.norm(col)
+    Xm = np.column_stack([col, col + bump, rng.standard_normal((12, 2))])
+    y = 3.0 * col + 0.1 * rng.standard_normal(12)
+    path = compute_path(DesignMatrix(Xm), y)
+    assert path.degenerate
+    assert path.supports[0].indices == (0,)
+    for T in path.supports:
+        assert not {0, 1} <= set(T.indices)
+    for seg in path.segments:
+        lam = 0.5 * (seg.hi + seg.lo)
+        assert kkt_check(DesignMatrix(Xm), y, lam, path.beta_at(lam), tol=1e-9).ok
+
+
+def _kkt_violation(X, y, lam, beta):
+    n = X.shape[0]
+    g = X.T @ (y - X @ beta) / n
+    on = np.abs(beta) > SUPPORT_THRESH
+    worst = float(np.max(np.abs(g[on] - lam * np.sign(beta[on])), initial=0.0))
+    return max(worst, float(np.max(np.abs(g[~on]), initial=0.0)) - lam)
+
+
+def test_full_path_meets_kkt_on_wide_equicorrelated_design():
+    # the Gram-matrix Cholesky solve broke KKT on 9 segments of this path
+    # with one BLAS thread and on 17 with two, all with |A| near n
+    inst = generate_instance(200, 1000, 10, 1.0, design_kind="equicorrelated", seed=0)
+    X, y = inst.X.entries, inst.y
+    path = compute_path(inst.X, y)
+    assert max(len(seg.active) for seg in path.segments) >= 190
+    bad = [k for k, seg in enumerate(path.segments)
+           if _kkt_violation(X, y, 0.5 * (seg.hi + seg.lo),
+                             seg.beta(0.5 * (seg.hi + seg.lo), X.shape[1]))
+           > 1e-6 * 0.5 * (seg.hi + seg.lo)]
+    assert bad == []
+
+
 def test_grid_family_above_lambda0():
     rng = np.random.default_rng(43)
     Xm = rng.standard_normal((10, 4))
@@ -213,3 +257,11 @@ def test_grid_rejects_nonpositive_lambdas():
 def test_family_dedup_and_empty_always_present():
     fam = SupportFamily.from_supports([Support((1,)), Support((1,)), Support(())])
     assert fam.supports == (Support(()), Support((1,)))
+
+
+def test_family_membership_and_first_appearance_order():
+    fam = SupportFamily.from_supports([Support((2,)), Support((0, 1)), Support((2,))],
+                                      include_empty=False)
+    assert fam.supports == (Support((2,)), Support((0, 1)))
+    assert Support((0, 1)) in fam and Support((2,)) in fam
+    assert Support(()) not in fam and (0, 1) not in fam

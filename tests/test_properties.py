@@ -1,6 +1,7 @@
-"""Property tests: the square-root Lasso and the grid family read off the
-Lasso path, checked against their optimality conditions and against the
-coordinate-descent reference."""
+"""Property tests: the square-root Lasso, the grid family and the path
+family's least-squares fits read off the Lasso path, checked against their
+optimality conditions, the coordinate-descent reference and the pivoted-QR
+projection."""
 
 import math
 
@@ -8,9 +9,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lassoagg.design import Support
+from lassoagg.aggregation import precompute
+from lassoagg.design import Support, project
 from lassoagg.errors import DegenerateVarianceError
-from lassoagg.path import SupportFamily, compute_path, grid_support_family
+from lassoagg.path import (SupportFamily, compute_path, grid_support_family,
+                           path_support_family)
 from lassoagg.simulation import generate_instance
 from lassoagg.solvers import (SUPPORT_THRESH, lasso_cd, sqrt_lasso,
                               sqrt_lasso_universal_lambda)
@@ -90,3 +93,31 @@ def test_grid_family_matches_coordinate_descent(data, factors):
     expected = SupportFamily.from_supports(
         [Support.from_beta(fit.beta, SUPPORT_THRESH) for fit in fits], source="grid")
     assert grid_support_family(X, y, lams).supports == expected.supports
+
+
+@st.composite
+def wide_instances(draw):
+    """p > n designs, half of them with the last column a copy of the first."""
+    n = draw(st.integers(5, 30))
+    p = draw(st.integers(n + 1, 2 * n + 10))
+    kind = draw(st.sampled_from(["iid_gaussian", "equicorrelated"]))
+    seed = draw(st.integers(0, 10_000))
+    inst = generate_instance(n, p, min(p, 4), draw(st.sampled_from([0.1, 1.0])),
+                             design_kind=kind, seed=seed)
+    X = inst.X.entries.copy()
+    if draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    return X, inst.y
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_instances())
+def test_path_family_fits_equal_qr_projections(data):
+    X, y = data
+    path = compute_path(X, y)
+    family = path_support_family(path)
+    fitted = precompute(path.design, y, family).fitted_vectors
+    scale = max(float(np.linalg.norm(y)), 1e-300)
+    for j, T in enumerate(family):
+        ref = project(path.design, T, y).fitted
+        assert np.linalg.norm(fitted[:, j] - ref) <= 1e-12 * scale

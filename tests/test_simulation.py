@@ -1,4 +1,6 @@
+import ctypes
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,9 +9,10 @@ from lassoagg.design import Support
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import SupportFamily
 from lassoagg.pipelines import path_aggregate
-from lassoagg.simulation import (TrialConfig, exhaustive_spa,
-                                 generate_instance, monte_carlo, oi_rhs_crit,
-                                 run_oracle_trial, soi_rhs_supports)
+from lassoagg.simulation import (TrialConfig, _one_blas_thread, _openblas_thread_controls,
+                                 _pin_blas_threads, exhaustive_spa, generate_instance,
+                                 monte_carlo, oi_rhs_crit, run_oracle_trial,
+                                 soi_rhs_supports)
 from lassoagg.weights import log_inv_weight
 
 
@@ -59,6 +62,9 @@ def test_generate_instance_s_zero_and_rademacher():
 def test_generate_instance_invalid_args():
     with pytest.raises(InvalidInputError):
         generate_instance(10, 4, 5, 1.0)
+    for n, p in ((0, 3), (3, 0)):
+        with pytest.raises(InvalidInputError, match="n >= 1 and p >= 1"):
+            generate_instance(n, p, 0, 1.0)
     with pytest.raises(InvalidInputError):
         generate_instance(10, 4, 1, 1.0, design_kind="equicorrelated", rho=1.0)
     with pytest.raises(InvalidInputError):
@@ -172,6 +178,37 @@ def test_monte_carlo_parallelism_invariant():
     assert serial["mean_rhs"] == parallel["mean_rhs"]
     assert serial["held_rate"] == parallel["held_rate"]
     assert serial["lhs_quantiles"] == parallel["lhs_quantiles"]
+
+
+def _openblas_thread_counts():
+    """The thread count of every OpenBLAS library mapped into this process."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    counts = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                counts.append(getattr(lib, name)())
+                break
+    return counts
+
+
+def test_pool_initializer_pins_each_worker_to_one_blas_thread():
+    with ProcessPoolExecutor(max_workers=1, initializer=_pin_blas_threads) as pool:
+        counts = pool.submit(_openblas_thread_counts).result()
+    assert len(counts) == len(_openblas_thread_controls())
+    assert counts == [1] * len(counts)
+
+
+def test_serial_replications_run_one_blas_thread_and_restore_the_count():
+    before = _openblas_thread_counts()
+    with _one_blas_thread() as pinned:
+        assert _openblas_thread_counts() == [1] * pinned
+    assert pinned == len(before)
+    assert _openblas_thread_counts() == before
 
 
 def test_monte_carlo_rejects_zero_reps():
