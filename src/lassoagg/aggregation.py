@@ -2,8 +2,8 @@
 the Q-aggregation convex program over the probability simplex.
 
 Both estimators operate on the least-squares fits P_T y for T in the family.
-The Q-aggregation objective is a convex quadratic evaluated in Gram form,
-which is exact and O(M^2) per gradient for a family of size M.
+The Q-aggregation objective is a convex quadratic in Gram form, minimized
+exactly by a primal active-set method.
 """
 
 from __future__ import annotations
@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .design import (ProjectionCache, Support, as_design, as_response, power_iteration,
-                     project)
+from .design import Support, as_design, as_response, project
 from .errors import InvalidInputError
 from .path import SupportFamily
 from .weights import log_inv_weight
@@ -24,6 +22,8 @@ from .weights import log_inv_weight
 # Constants of the two penalized objectives.
 CRIT_PENALTY = 18.0
 Q_PENALTY = 26.0
+# q_aggregate makes at most this many working-set changes per support.
+WORKING_SET_CHANGES_PER_SUPPORT = 10
 
 
 @dataclass
@@ -73,8 +73,7 @@ class CritResult:
     sigma_hat_sq_used: float
 
 
-def precompute(X, y, family: SupportFamily,
-               cache: Optional[ProjectionCache] = None) -> PrecomputedFits:
+def precompute(X, y, family: SupportFamily) -> PrecomputedFits:
     """Materialize the per-support least-squares fits and their Gram matrix.
 
     A family that carries fits of y on X (a path family) uses them; the
@@ -87,11 +86,9 @@ def precompute(X, y, family: SupportFamily,
     if family.fits is not None and family.fits.of(X, y):
         F = family.fits.fitted
     else:
-        if cache is None:
-            cache = ProjectionCache(X)
         F = np.empty((X.n, len(family)))
         for j, T in enumerate(family):
-            F[:, j] = project(X, T, y, cache=cache).fitted
+            F[:, j] = project(X, T, y).fitted
     gram = F.T @ F
     return PrecomputedFits(
         family=family,
@@ -165,81 +162,77 @@ def q_objective(theta, pre: PrecomputedFits, sigma_hat_sq: float) -> float:
     return float(0.5 * theta @ (pre.gram @ theta) + theta @ c + pre.y_norm_sq)
 
 
-def simplex_project(v) -> SimplexWeights:
-    """Euclidean projection onto the probability simplex (sort-threshold)."""
-    v = np.asarray(v, dtype=float).ravel()
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("cannot project a non-finite vector")
-    s = np.sort(v)[::-1]
-    css = np.cumsum(s) - 1.0
-    ks = np.arange(1, v.size + 1)
-    cond = s - css / ks > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    tau = css[rho] / (rho + 1)
-    theta = np.clip(v - tau, 0.0, None)
-    theta /= theta.sum()
-    return SimplexWeights(theta)
+def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float) -> QAggResult:
+    """Minimize the Q-aggregation objective over the simplex exactly.
 
-
-def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float,
-                tol_gap: Optional[float] = None,
-                max_iter: int = 50_000) -> QAggResult:
-    """Minimize the Q-aggregation objective over the simplex.
-
-    Projected gradient with fixed step 1/L and Nesterov momentum (restarted
-    whenever the objective increases), initialized at the vertex with the
-    smallest objective.  The returned point never exceeds the best vertex
-    objective, and termination is certified by the Frank-Wolfe gap
-    g(theta) = max_k grad^T (theta - e_k).
+    A primal active-set method (Nocedal & Wright 2006, section 16.5) whose
+    working set P is the support of theta, started at the vertex with the
+    smallest objective, so the result never exceeds the best vertex
+    objective.  On P the step is d = Z w with Z = [I; -1^T], so sum(d) = 0
+    holds exactly, and w minimizes the objective on the face by lstsq on the
+    reduced Hessian Z^T G_PP Z, which may be singular.  When lstsq reports
+    a rank-deficient system whose residual exceeds 1e-8 times the reduced
+    gradient, the residual is a zero-curvature descent ray instead.  A ray,
+    or a step that leaves the simplex, stops at the first blocking
+    coordinate, which leaves P.  At the face minimizer, the coordinate
+    outside P with the smallest gradient enters when it lies below
+    theta^T grad by more than 1e-12 * (1 + |theta^T grad|); otherwise theta
+    is optimal.  At most WORKING_SET_CHANGES_PER_SUPPORT * M entries and
+    exits are made; "iterations" counts them, "converged" is false when the
+    bound is hit, and the Frank-Wolfe gap max_k grad^T (theta - e_k) is the
+    reported certificate.
     """
     sigma_hat_sq = _clamp_sigma(sigma_hat_sq)
-    if tol_gap is not None and not 0 < tol_gap < math.inf:
-        raise InvalidInputError("tol_gap must be positive and finite")
     M = pre.size
     G = pre.gram
     c = _linear_coeffs(pre, sigma_hat_sq)
 
-    def objective(theta):
-        return float(0.5 * theta @ (G @ theta) + theta @ c + pre.y_norm_sq)
-
     # vertex objectives: H(e_k) = 0.5*G_kk + c_k + ||y||^2
     vertex_vals = 0.5 * np.diag(G) + c + pre.y_norm_sq
     theta = np.zeros(M)
-    theta[int(np.argmin(vertex_vals))] = 1.0
-    obj = objective(theta)
-
-    L = max(power_iteration(lambda v: G @ v, M).value, 1e-12)
-    step = 1.0 / L
-
-    z = theta
-    t_mom = 1.0
-    fw_gap = math.inf
+    working = [int(np.argmin(vertex_vals))]
+    theta[working] = 1.0
+    changes = 0
     converged = False
-    it = 0
-    for it in range(max_iter + 1):
-        grad = G @ theta + c
-        fw_gap = float(grad @ theta - np.min(grad))
-        tol = tol_gap if tol_gap is not None else 1e-8 * (1.0 + abs(obj))
-        if fw_gap <= tol:
+    while changes < WORKING_SET_CHANGES_PER_SUPPORT * M:
+        grad = G[:, working] @ theta[working] + c
+        m = len(working)
+        if m > 1:
+            Z = np.vstack([np.eye(m - 1), -np.ones((1, m - 1))])
+            hess = Z.T @ G[np.ix_(working, working)] @ Z
+            red_grad = Z.T @ grad[working]
+            w, _, rank, _ = np.linalg.lstsq(hess, -red_grad, rcond=None)
+            resid = hess @ w + red_grad
+            ray = (rank < m - 1
+                   and np.linalg.norm(resid) > 1e-8 * np.linalg.norm(red_grad))
+            # the residual of lstsq lies in the null space of hess: moving
+            # along -resid lowers the objective linearly without bound
+            d = Z @ (-resid if ray else w)
+            shrinking = d < 0.0
+            ratios = np.full(m, math.inf)
+            ratios[shrinking] = theta[working][shrinking] / -d[shrinking]
+            block = int(np.argmin(ratios))
+            if ray or ratios[block] < 1.0:
+                theta[working] = np.maximum(theta[working] + ratios[block] * d, 0.0)
+                theta[working[block]] = 0.0
+                del working[block]
+                changes += 1
+                continue
+            theta[working] = theta[working] + d
+            grad = G[:, working] @ theta[working] + c
+        level = float(theta @ grad)
+        outside = grad.copy()
+        outside[working] = math.inf
+        k = int(np.argmin(outside))
+        if outside[k] >= level - 1e-12 * (1.0 + abs(level)):
             converged = True
             break
-        if it == max_iter:
-            break
-        theta_new = simplex_project(z - step * (G @ z + c)).theta
-        obj_new = objective(theta_new)
-        if obj_new > obj:
-            # momentum overshoot: restart from the current (monotone) iterate
-            z = theta
-            t_mom = 1.0
-            theta_new = simplex_project(theta - step * grad).theta
-            obj_new = objective(theta_new)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        z = theta_new + ((t_mom - 1.0) / t_next) * (theta_new - theta)
-        t_mom = t_next
-        theta, obj = theta_new, obj_new
+        working.append(k)
+        changes += 1
 
-    tw = SimplexWeights(theta)
-    return QAggResult(theta_hat=tw, mu_hat=pre.fitted_vectors @ theta,
-                      objective=objective(theta), fw_gap=fw_gap,
+    grad = G @ theta + c
+    return QAggResult(theta_hat=SimplexWeights(theta), mu_hat=pre.fitted_vectors @ theta,
+                      objective=float(0.5 * theta @ (G @ theta) + theta @ c + pre.y_norm_sq),
+                      fw_gap=float(grad @ theta - np.min(grad)),
                       sigma_hat_sq_used=sigma_hat_sq, converged=converged,
-                      iterations=it)
+                      iterations=changes)

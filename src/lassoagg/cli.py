@@ -193,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_common_flags(p)
     p.add_argument("--method", choices=["q", "crit"], default="q")
-    p.add_argument("--sigma", type=float, help="known noise variance estimate (sigma^2)")
+    p.add_argument("--sigma", type=float,
+                   help="known noise standard deviation sigma (its square is the variance used)")
     p.add_argument("--sigma-mode", choices=["known", "sqrt_lasso"], default="known")
     p.add_argument("--max-knots", type=int, default=None)
-    p.add_argument("--tol-gap", type=float, default=None)
 
     p = sub.add_parser("sqrt-pipeline", help="square-root-Lasso grid pipeline")
     _add_data_flags(p)
@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-min", type=float, default=None)
     p.add_argument("--grid-size", type=int, default=20)
     p.add_argument("--grid-mode", choices=["spanning", "paper-literal"], default="spanning")
-    p.add_argument("--tol-gap", type=float, default=None)
 
     p = sub.add_parser("simulate", help="Monte Carlo oracle-inequality verification")
     _add_common_flags(p)
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=float, required=True, help="noise standard deviation sigma")
     p.add_argument("--x-level", "--x", dest="x_level", type=float, default=3.0)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -258,20 +257,18 @@ def _cmd_path(args):
 
 
 def _resolve_sigma(args) -> Optional[float]:
-    """The known variance, or None for the square-root-Lasso estimate."""
+    """The known variance sigma^2 from the standard deviation --sigma, or
+    None for the square-root-Lasso estimate."""
     if args.sigma_mode == "known":
         if args.sigma is None:
             raise InvalidInputError("--sigma is required with --sigma-mode known")
-        if not 0 <= args.sigma < math.inf:
+        sigma_sq = args.sigma * args.sigma
+        if not (args.sigma >= 0 and sigma_sq < math.inf):
             raise InvalidInputError("--sigma must be nonnegative and finite")
-        return float(args.sigma)
+        return sigma_sq
     if args.sigma is not None:
         raise InvalidInputError("--sigma is not allowed with --sigma-mode sqrt_lasso")
     return None
-
-
-def _agg_opts(args):
-    return {"tol_gap": args.tol_gap} if args.tol_gap is not None else None
 
 
 def _write_pipeline_report(config, report: PipelineReport, out) -> int:
@@ -285,12 +282,10 @@ def _cmd_aggregate(args):
     X = load_matrix_csv(args.x, args.header)
     y = load_vector_csv(args.y, args.header)
     report = path_aggregate(X, y, _resolve_sigma(args), method=args.method,
-                            max_knots=args.max_knots,
-                            agg_opts=_agg_opts(args))
+                            max_knots=args.max_knots)
     config = {"command": "aggregate", "x": args.x, "y": args.y,
               "method": args.method, "sigma_mode": args.sigma_mode,
-              "sigma": args.sigma, "max_knots": args.max_knots,
-              "tol_gap": args.tol_gap}
+              "sigma": args.sigma, "max_knots": args.max_knots}
     return _write_pipeline_report(config, report, args.out)
 
 
@@ -298,12 +293,10 @@ def _cmd_sqrt_pipeline(args):
     X = load_matrix_csv(args.x, args.header)
     y = load_vector_csv(args.y, args.header)
     report = sqrt_lasso_pipeline(X, y, lambda_min=args.lambda_min, M=args.grid_size,
-                                 method=args.method, grid_mode=args.grid_mode,
-                                 agg_opts=_agg_opts(args))
+                                 method=args.method, grid_mode=args.grid_mode)
     config = {"command": "sqrt-pipeline", "x": args.x, "y": args.y,
               "method": args.method, "lambda_min": args.lambda_min,
-              "grid_size": args.grid_size, "grid_mode": args.grid_mode,
-              "tol_gap": args.tol_gap}
+              "grid_size": args.grid_size, "grid_mode": args.grid_mode}
     return _write_pipeline_report(config, report, args.out)
 
 

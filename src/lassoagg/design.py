@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -102,9 +101,6 @@ class Support:
         return [i + 1 for i in self.indices]
 
 
-EMPTY_SUPPORT = Support(())
-
-
 @dataclass
 class ProjectionResult:
     fitted: np.ndarray
@@ -128,25 +124,7 @@ def _orthonormal_basis(X: DesignMatrix, T: Support) -> np.ndarray:
     return Q[:, :rank]
 
 
-class ProjectionCache:
-    """Per-support cache of orthonormal bases, safe for concurrent use."""
-
-    def __init__(self, X: DesignMatrix):
-        self.X = X
-        self._bases: dict = {}
-        self._lock = threading.Lock()
-
-    def basis(self, T: Support) -> np.ndarray:
-        with self._lock:
-            Q = self._bases.get(T.indices)
-        if Q is None:
-            Q = _orthonormal_basis(self.X, T)
-            with self._lock:
-                self._bases.setdefault(T.indices, Q)
-        return Q
-
-
-def project(X: DesignMatrix, T: Support, v, cache: Optional[ProjectionCache] = None) -> ProjectionResult:
+def project(X: DesignMatrix, T: Support, v) -> ProjectionResult:
     """Orthogonal projection of v onto the span of the columns of X indexed by T.
 
     Rank-deficient (e.g. duplicated-column) submatrices are handled by the
@@ -154,44 +132,9 @@ def project(X: DesignMatrix, T: Support, v, cache: Optional[ProjectionCache] = N
     """
     X = as_design(X)
     v = as_response(v, X.n)
-    Q = cache.basis(T) if cache is not None else _orthonormal_basis(X, T)
+    Q = _orthonormal_basis(X, T)
     if Q.shape[1] == 0:
         fitted = np.zeros(X.n)
     else:
         fitted = Q @ (Q.T @ v)
     return ProjectionResult(fitted=fitted, residual=v - fitted, rank=Q.shape[1])
-
-
-class PowerIterResult(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
-
-
-def power_iteration(matvec, dim: int, tol: float = 1e-10,
-                    max_iter: int = 10000) -> PowerIterResult:
-    """Largest eigenvalue of the symmetric PSD operator v -> matvec(v) on
-    R^dim; stops when the Rayleigh quotient changes by at most
-    tol * max(1, |value|)."""
-    # Deterministic start; the small ramp avoids starting orthogonal to the
-    # top eigenvector on symmetric operators.
-    v = np.ones(dim) + 1e-3 * np.arange(dim)
-    v /= np.linalg.norm(v)
-    val = 0.0
-    for it in range(1, max_iter + 1):
-        w = matvec(v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return PowerIterResult(0.0, True, it)
-        new_val = float(v @ w)
-        v = w / norm
-        if abs(new_val - val) <= tol * max(1.0, abs(new_val)):
-            return PowerIterResult(new_val, True, it)
-        val = new_val
-    return PowerIterResult(val, False, max_iter)
-
-
-def operator_norm_phi_max(X: DesignMatrix, tol: float = 1e-10, max_iter: int = 10000) -> PowerIterResult:
-    """Largest eigenvalue of X^T X / n by power iteration (diagnostic only)."""
-    X = as_design(X)
-    return power_iteration(lambda v: X.entries.T @ (X.entries @ v) / X.n, X.p, tol, max_iter)

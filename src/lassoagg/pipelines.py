@@ -31,22 +31,19 @@ class PipelineReport:
     fits_converged: bool = True     # every square-root-Lasso fit converged
 
 
-def aggregate(pre: PrecomputedFits, sigma_hat_sq: float, method: str,
-              agg_opts: Optional[dict] = None) -> Union[QAggResult, CritResult]:
-    """Aggregate a precomputed family: method "q" runs q_aggregate with the
-    solver options agg_opts, method "crit" runs crit_select, which takes
-    none."""
+def aggregate(pre: PrecomputedFits, sigma_hat_sq: float,
+              method: str) -> Union[QAggResult, CritResult]:
+    """Aggregate a precomputed family: method "q" runs q_aggregate, method
+    "crit" runs crit_select."""
     if method == "q":
-        return q_aggregate(pre, sigma_hat_sq, **(agg_opts or {}))
+        return q_aggregate(pre, sigma_hat_sq)
     if method == "crit":
-        if agg_opts:
-            raise InvalidInputError("crit_select accepts no solver options")
         return crit_select(pre, sigma_hat_sq)
     raise InvalidInputError(f"unknown aggregation method {method!r}")
 
 
 def aggregate_estimators(X, y, betas: Sequence[np.ndarray], sigma_hat_sq: float,
-                         method: str = "q", **agg_opts):
+                         method: str = "q"):
     """Aggregate a family of coefficient estimates through their supports.
 
     Builds the support family {supp(beta_j)} (deduplicated; the empty support
@@ -65,12 +62,11 @@ def aggregate_estimators(X, y, betas: Sequence[np.ndarray], sigma_hat_sq: float,
             raise InvalidInputError("coefficient vector has wrong length")
         supports.append(Support.from_beta(beta, SUPPORT_THRESH))
     family = SupportFamily.from_supports(supports, source="external", include_empty=False)
-    return aggregate(precompute(X, y, family), sigma_hat_sq, method, agg_opts)
+    return aggregate(precompute(X, y, family), sigma_hat_sq, method)
 
 
 def path_aggregate(X, y, sigma_hat_sq: Optional[float] = None, method: str = "q",
-                   max_knots: Optional[int] = None,
-                   agg_opts: Optional[dict] = None) -> PipelineReport:
+                   max_knots: Optional[int] = None) -> PipelineReport:
     """Two-step procedure: Lasso path, then aggregation of its supports.
 
     sigma_hat_sq=None estimates the variance by the square-root Lasso at its
@@ -88,7 +84,7 @@ def path_aggregate(X, y, sigma_hat_sq: Optional[float] = None, method: str = "q"
         sigma_hat_sq, fits_converged = fit.sigma_hat_sq, fit.converged
     t1 = time.perf_counter()
     family = path_support_family(path)
-    result = aggregate(precompute(X, y, family), sigma_hat_sq, method, agg_opts)
+    result = aggregate(precompute(X, y, family), sigma_hat_sq, method)
     t2 = time.perf_counter()
     return PipelineReport(
         family=family,
@@ -128,8 +124,7 @@ def geometric_grid(lambda_min: float, lambda_max: float, M: int,
 
 
 def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
-                        method: str = "q", grid_mode: str = "spanning",
-                        agg_opts: Optional[dict] = None) -> PipelineReport:
+                        method: str = "q", grid_mode: str = "spanning") -> PipelineReport:
     """Fully data-driven pipeline based on the square-root Lasso.
 
     Fits the square-root Lasso on a geometric grid below its universal
@@ -155,7 +150,7 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
         [Support.from_beta(fit.beta, SUPPORT_THRESH) for fit in fits], source="grid")
     t1 = time.perf_counter()
 
-    result = aggregate(precompute(X, y, family), fit_max.sigma_hat_sq, method, agg_opts)
+    result = aggregate(precompute(X, y, family), fit_max.sigma_hat_sq, method)
     t2 = time.perf_counter()
     return PipelineReport(
         family=family,

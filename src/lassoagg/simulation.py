@@ -11,13 +11,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 # crit_select is unused here, but perfbench/tracing.py wraps it at this module
 from .aggregation import QAggResult, crit_select, precompute, q_aggregate  # noqa: F401
-from .design import DesignMatrix, ProjectionCache, Support, as_design, project
+from .design import DesignMatrix, Support, as_design, project
 from .errors import InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
 from .pipelines import aggregate
@@ -34,7 +34,6 @@ class SimInstance:
     seed: int
     design_kind: str
     rho: float = 0.0
-    noise_kind: str = "gaussian"
 
     @property
     def n(self):
@@ -52,12 +51,11 @@ def _rng(seed: int) -> np.random.Generator:
 
 def generate_instance(n: int, p: int, s: int, sigma: float,
                       design_kind: str = "iid_gaussian", seed: int = 0,
-                      rho: float = 0.5, noise_kind: str = "gaussian") -> SimInstance:
+                      rho: float = 0.5) -> SimInstance:
     """Random sparse instance with columns scaled to diag(X^T X / n) = 1.
 
     beta_star has s entries equal to +-1 at random positions; noise is iid
-    Gaussian(0, sigma^2) by default, Rademacher*sigma as a subgaussian
-    alternative.
+    Gaussian(0, sigma^2).
     """
     if n < 1 or p < 1:
         raise InvalidInputError("design matrix must have n >= 1 and p >= 1")
@@ -90,16 +88,10 @@ def generate_instance(n: int, p: int, s: int, sigma: float,
         pos = rng.choice(p, size=s, replace=False)
         beta_star[pos] = rng.choice([-1.0, 1.0], size=s)
     mu = Xm @ beta_star
-    if noise_kind == "gaussian":
-        xi = sigma * rng.standard_normal(n)
-    elif noise_kind == "rademacher":
-        xi = sigma * rng.choice([-1.0, 1.0], size=n)
-    else:
-        raise InvalidInputError(f"unknown noise kind {noise_kind!r}")
+    xi = sigma * rng.standard_normal(n)
     return SimInstance(X=DesignMatrix(Xm), beta_star=beta_star, mu=mu,
                        y=mu + xi, sigma=float(sigma), seed=int(seed),
-                       design_kind=design_kind, rho=float(rho),
-                       noise_kind=noise_kind)
+                       design_kind=design_kind, rho=float(rho))
 
 
 # Constants (f, c0, c1, tail) of an oracle bound: min over candidates T of
@@ -116,13 +108,13 @@ def _bound_terms(consts, biases, sizes, sigma_hat_sq: float, n: int, p: int) -> 
 
 
 def _rhs_supports(consts, family: SupportFamily, mu, X,
-                  sigma_hat_sq: float, sigma_sq: float, x: float,
-                  cache: Optional[ProjectionCache]) -> Tuple[float, List[float], Support]:
+                  sigma_hat_sq: float, sigma_sq: float, x: float
+                  ) -> Tuple[float, List[float], Support]:
     if not 0 < x < math.inf:
         raise InvalidInputError("x must be positive and finite")
     X = as_design(X)
     n = X.n
-    biases = [float(np.sum(project(X, T, mu, cache=cache).residual ** 2)) / n
+    biases = [float(np.sum(project(X, T, mu).residual ** 2)) / n
               for T in family]
     terms = _bound_terms(consts, biases, [T.size for T in family], sigma_hat_sq, n, X.p)
     j = int(np.argmin(terms))
@@ -130,23 +122,19 @@ def _rhs_supports(consts, family: SupportFamily, mu, X,
 
 
 def soi_rhs_supports(family: SupportFamily, mu, X, sigma_hat_sq: float,
-                     sigma_sq: float, x: float,
-                     cache: Optional[ProjectionCache] = None
-                     ) -> Tuple[float, List[float], Support]:
+                     sigma_sq: float, x: float) -> Tuple[float, List[float], Support]:
     """Right-hand side of the sharp oracle inequality for the simplex
     aggregate: min over T of bias + (s2/n)(24 + 96|T|log(ep/(|T| v 1)))
     plus 22*sigma^2*x/n.  Returns (value, per-support terms, argmin)."""
-    return _rhs_supports(SOI, family, mu, X, sigma_hat_sq, sigma_sq, x, cache)
+    return _rhs_supports(SOI, family, mu, X, sigma_hat_sq, sigma_sq, x)
 
 
 def oi_rhs_crit(family: SupportFamily, mu, X, sigma_hat_sq: float,
-                sigma_sq: float, x: float,
-                cache: Optional[ProjectionCache] = None
-                ) -> Tuple[float, List[float], Support]:
+                sigma_sq: float, x: float) -> Tuple[float, List[float], Support]:
     """Right-hand side of the oracle inequality for the criterion selector:
     min over T of 3*bias + (s2/n)(26 + 104|T|log(ep/(|T| v 1)))
     plus 28*sigma^2*x/n."""
-    return _rhs_supports(OI, family, mu, X, sigma_hat_sq, sigma_sq, x, cache)
+    return _rhs_supports(OI, family, mu, X, sigma_hat_sq, sigma_sq, x)
 
 
 @dataclass
@@ -215,8 +203,7 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
         minimizing = "beta=0" if j == 0 else f"lambda={lams[j - 1]:.6g}"
     elif config.bound in ("soi_supports", "oi_supports"):
         consts = SOI if config.bound == "soi_supports" else OI
-        rhs, _, T = _rhs_supports(consts, family, mu, X, sigma_hat_sq, sigma_sq,
-                                  config.x, None)
+        rhs, _, T = _rhs_supports(consts, family, mu, X, sigma_hat_sq, sigma_sq, config.x)
         minimizing = f"T={T.one_based()}"
     else:
         raise InvalidInputError(f"unknown bound {config.bound!r}")
@@ -225,8 +212,7 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
                        minimizing_term=minimizing, sigma_hat_sq=sigma_hat_sq)
 
 
-def exhaustive_spa(X, y, sigma_hat_sq: float, tol_gap: Optional[float] = None,
-                   max_iter: int = 50_000) -> QAggResult:
+def exhaustive_spa(X, y, sigma_hat_sq: float) -> QAggResult:
     """Q-aggregation over all 2^p supports (brute force; p <= 10 only)."""
     X = as_design(X)
     if X.p > 10:
@@ -236,7 +222,7 @@ def exhaustive_spa(X, y, sigma_hat_sq: float, tol_gap: Optional[float] = None,
                     for c in combinations(range(X.p), k)]
     family = SupportFamily.from_supports(all_supports, source="external")
     pre = precompute(X, y, family)
-    return q_aggregate(pre, sigma_hat_sq, tol_gap=tol_gap, max_iter=max_iter)
+    return q_aggregate(pre, sigma_hat_sq)
 
 
 def _openblas_thread_controls() -> list:

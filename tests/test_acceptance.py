@@ -102,7 +102,7 @@ def test_criterion_04_qp_matches_brute_force():
         fam2 = SupportFamily.from_supports([Support((0, 1)), Support((2, 3))],
                                            include_empty=False)
         pre2 = precompute(DesignMatrix(Xm), y, fam2)
-        res2 = q_aggregate(pre2, s2, tol_gap=1e-12)
+        res2 = q_aggregate(pre2, s2)
         G, c = pre2.gram, (-2.0 * pre2.y_dot + 0.5 * pre2.fit_norms_sq
                            + 26.0 * s2 * pre2.log_inv_weights)
         A = 0.5 * (G[0, 0] - 2 * G[0, 1] + G[1, 1])
@@ -123,8 +123,8 @@ def test_criterion_05_exhaustive_family_domination():
         y = rng.standard_normal(n)
         X = DesignMatrix(Xm)
         s2 = float(rng.uniform(0.2, 1.0))
-        ex = exhaustive_spa(X, y, s2, tol_gap=1e-10)
-        report = path_aggregate(X, y, s2, method="q", agg_opts={"tol_gap": 1e-10})
+        ex = exhaustive_spa(X, y, s2)
+        report = path_aggregate(X, y, s2, method="q")
         ok &= ex.objective <= report.result.objective + 1e-8
         pre = precompute(X, y, report.family)
         for k in range(len(report.family)):

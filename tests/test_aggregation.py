@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lassoagg.aggregation import (CritResult, QAggResult, crit_select, crit_value,
-                                  precompute, q_aggregate, q_objective, simplex_project)
+                                  precompute, q_aggregate, q_objective)
 from lassoagg.design import DesignMatrix, Support, project
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import SupportFamily, grid_support_family
-from lassoagg.pipelines import aggregate_estimators
+from lassoagg.pipelines import aggregate_estimators, path_aggregate
+from lassoagg.simulation import generate_instance
 from lassoagg.weights import log_inv_weight
 
 
@@ -153,25 +154,6 @@ def test_q_objective_rejects_off_simplex():
         q_objective(np.array([1.5]), pre, 0.0)
 
 
-def test_simplex_project_examples():
-    v = np.array([0.25, 0.5, 0.25])
-    assert np.allclose(simplex_project(v).theta, v, atol=1e-14)
-    assert np.allclose(simplex_project([0.5, 0.5, 2.0]).theta, [0.0, 0.0, 1.0], atol=1e-12)
-    assert np.allclose(simplex_project([7.0] * 5).theta, np.full(5, 0.2), atol=1e-14)
-
-
-def test_simplex_project_optimality():
-    # projection KKT: the projection is the closest simplex point
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        v = rng.standard_normal(6) * 3
-        theta = simplex_project(v).theta
-        d0 = np.sum((theta - v) ** 2)
-        for _ in range(30):
-            other = rng.dirichlet(np.ones(6))
-            assert d0 <= np.sum((other - v) ** 2) + 1e-10
-
-
 def test_q_aggregate_single_atom():
     rng = np.random.default_rng(8)
     Xm = rng.standard_normal((7, 3))
@@ -190,7 +172,7 @@ def test_q_aggregate_two_atoms_matches_1d_closed_form():
     y = rng.standard_normal(10)
     pre = precompute(DesignMatrix(Xm), y, make_family((0,), (1, 2, 3)))
     s2 = 0.4
-    res = q_aggregate(pre, s2, tol_gap=1e-12)
+    res = q_aggregate(pre, s2)
     # H((t, 1-t)) = A t^2 + B t + C; minimize over [0, 1] in closed form
     G, c = pre.gram, (-2.0 * pre.y_dot + 0.5 * pre.fit_norms_sq
                       + 26.0 * s2 * pre.log_inv_weights)
@@ -208,7 +190,7 @@ def test_q_aggregate_three_atoms_vs_dense_grid():
     y = rng.standard_normal(12)
     pre = precompute(DesignMatrix(Xm), y, make_family((0,), (1, 2), (3,)))
     s2 = 0.2
-    res = q_aggregate(pre, s2, tol_gap=1e-10)
+    res = q_aggregate(pre, s2)
     assert res.converged and res.fw_gap <= 1e-10
     best = math.inf
     step = 1e-3
@@ -229,6 +211,14 @@ def test_q_aggregate_vertex_domination():
         e = np.zeros(4)
         e[k] = 1.0
         assert res.objective <= q_objective(e, pre, 0.7) + 1e-9
+
+
+def test_q_aggregate_is_exact_on_the_equicorrelated_seed_2_path():
+    # projected gradient stopped at a Frank-Wolfe gap of 1.5e-5 here
+    inst = generate_instance(200, 1000, 10, 1.0, design_kind="equicorrelated", seed=2)
+    res = path_aggregate(inst.X, inst.y, 1.0, method="q").result
+    assert res.converged
+    assert res.fw_gap <= 1e-9 * (1.0 + abs(res.objective))
 
 
 def test_q_aggregate_zero_sigma_single_support_is_projection():
@@ -277,9 +267,9 @@ def test_aggregate_estimators_matches_grid_pipeline():
     for lam in sorted(lams, reverse=True):
         beta = lasso_cd(X, y, lam, tol=1e-12, beta0=beta).beta
         betas.append(beta)
-    via_betas = aggregate_estimators(X, y, betas, 0.5, method="q", tol_gap=1e-11)
+    via_betas = aggregate_estimators(X, y, betas, 0.5, method="q")
     fam = grid_support_family(X, y, lams)
-    via_family = q_aggregate(precompute(X, y, fam), 0.5, tol_gap=1e-11)
+    via_family = q_aggregate(precompute(X, y, fam), 0.5)
     assert via_betas.objective == pytest.approx(via_family.objective, abs=1e-8)
     assert np.allclose(via_betas.mu_hat, via_family.mu_hat, atol=1e-6)
 

@@ -96,11 +96,21 @@ def test_aggregate_command_q_and_crit(tmp_path, data_files):
     for method in ("q", "crit"):
         out = tmp_path / f"agg_{method}.json"
         code = main(["aggregate", "--x", xpath, "--y", ypath, "--method", method,
-                     "--sigma", "0.09", "--out", str(out)])
+                     "--sigma", "0.3", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["results"]["result"]["kind"] == method
         assert report["results"]["sigma_hat_sq"] == 0.09
+
+
+def test_aggregate_sigma_is_the_standard_deviation(tmp_path, data_files):
+    xpath, ypath, *_ = data_files
+    out = tmp_path / "agg.json"
+    assert main(["aggregate", "--x", xpath, "--y", ypath, "--sigma", "0.5",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["results"]["sigma_hat_sq"] == 0.25
+    assert report["config"]["sigma"] == 0.5
 
 
 def test_path_csv_support_size_uses_threshold(tmp_path):
@@ -115,39 +125,6 @@ def test_path_csv_support_size_uses_threshold(tmp_path):
     sizes = [int(np.sum(np.abs(path.beta_at(float(lam))) > SUPPORT_THRESH))
              for lam in path.knots]
     assert rows[:, 2].tolist() == sizes
-
-
-SOLVER_COMMANDS = [["aggregate", "--sigma", "0.09"], ["sqrt-pipeline", "--grid-size", "5"]]
-
-
-@pytest.mark.parametrize("command", SOLVER_COMMANDS)
-def test_nonpositive_tol_gap_exits_2(data_files, command, capsys):
-    xpath, ypath, *_ = data_files
-    code = main([command[0], "--x", xpath, "--y", ypath, *command[1:],
-                 "--tol-gap", "0"])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
-
-
-@pytest.mark.parametrize("tol_gap", ["nan", "inf"])
-@pytest.mark.parametrize("command", SOLVER_COMMANDS)
-def test_nonfinite_tol_gap_exits_2(data_files, command, tol_gap, capsys):
-    xpath, ypath, *_ = data_files
-    code = main([command[0], "--x", xpath, "--y", ypath, *command[1:],
-                 "--tol-gap", tol_gap])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "InvalidInputError"
-    assert "tol_gap" in err["message"]
-
-
-@pytest.mark.parametrize("command", SOLVER_COMMANDS)
-def test_tol_gap_with_crit_exits_2(data_files, command, capsys):
-    xpath, ypath, *_ = data_files
-    code = main([command[0], "--x", xpath, "--y", ypath, *command[1:],
-                 "--method", "crit", "--tol-gap", "1e-6"])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
 
 
 @pytest.mark.parametrize("module, command, stalled_call", [
@@ -176,6 +153,26 @@ def test_unconverged_sqrt_lasso_exits_3(tmp_path, data_files, monkeypatch,
     # the report is still written and its results carry no extra key
     assert json.loads(out.read_text())["results"].keys() == \
         json.loads(ok.read_text())["results"].keys()
+
+
+def test_unconverged_qp_exits_3(tmp_path, data_files, monkeypatch):
+    xpath, ypath, *_ = data_files
+    argv = ["aggregate", "--x", xpath, "--y", ypath, "--sigma", "0.3", "--method", "q"]
+    ok = tmp_path / "ok.json"
+    assert main(argv + ["--out", str(ok)]) == 0
+
+    real = lassoagg.pipelines.q_aggregate
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(lassoagg.pipelines, "q_aggregate", stalled)
+    out = tmp_path / "stalled.json"
+    assert main(argv + ["--out", str(out)]) == 3
+    # the report is still written, with the solver's verdict in it
+    results = json.loads(out.read_text())["results"]
+    assert results["result"]["converged"] is False
+    assert results.keys() == json.loads(ok.read_text())["results"].keys()
 
 
 def test_threads_only_on_simulate(data_files):
@@ -269,7 +266,7 @@ def test_results_section_byte_stable(tmp_path, data_files):
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
-        main(["aggregate", "--x", xpath, "--y", ypath, "--sigma", "0.09",
+        main(["aggregate", "--x", xpath, "--y", ypath, "--sigma", "0.3",
               "--out", str(out)])
         outs.append(json.loads(out.read_text()))
     assert canonical_json(outs[0]["results"]) == canonical_json(outs[1]["results"])

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from lassoagg.design import (DesignMatrix, ProjectionCache, Support,
-                             operator_norm_phi_max, power_iteration, project)
+from lassoagg.design import DesignMatrix, Support, project
 from lassoagg.errors import InvalidInputError
 
 
@@ -101,20 +100,6 @@ def test_rank_drops_with_duplicated_columns():
     assert res3.rank <= min(3, X.n)
 
 
-def test_projection_cache_consistency():
-    rng = np.random.default_rng(6)
-    Xm = rng.standard_normal((9, 4))
-    X = DesignMatrix(Xm)
-    cache = ProjectionCache(X)
-    v = rng.standard_normal(9)
-    T = Support((0, 3))
-    a = project(X, T, v, cache=cache).fitted
-    b = project(X, T, v, cache=cache).fitted
-    c = project(X, T, v).fitted
-    assert np.array_equal(a, b)
-    assert np.allclose(a, c, atol=1e-12)
-
-
 def test_invalid_inputs():
     X = DesignMatrix(np.ones((3, 2)))
     with pytest.raises(InvalidInputError):
@@ -135,35 +120,3 @@ def test_column_norms_cached():
     X = DesignMatrix(Xm)
     assert np.allclose(X.column_norms_sq, (Xm ** 2).sum(axis=0), rtol=1e-12)
 
-
-def test_phi_max_identity_spectrum():
-    # X^T X / n = identity
-    X = DesignMatrix(np.sqrt(3.0) * np.eye(3))
-    res = operator_norm_phi_max(X)
-    assert res.converged
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-
-
-def test_phi_max_single_ones_column():
-    X = DesignMatrix(np.ones((4, 1)))
-    res = operator_norm_phi_max(X)
-    assert res.value == pytest.approx(1.0, abs=1e-10)
-
-
-def test_phi_max_two_column_correlated():
-    # Gram/n = [[1, .5], [.5, 1]]: eigenvalues 1 +- rho
-    rho = 0.5
-    C = np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]]))
-    X = DesignMatrix(np.sqrt(2.0) * C.T)
-    res = operator_norm_phi_max(X)
-    assert res.value == pytest.approx(1.5, abs=1e-8)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_power_iteration_matches_eigvalsh(seed):
-    # a Gram matrix of fitted vectors, as in q_aggregate's step size
-    A = np.random.default_rng(seed).standard_normal((30, 12))
-    G = A.T @ A
-    res = power_iteration(lambda v: G @ v, G.shape[0])
-    assert res.converged
-    assert res.value == pytest.approx(np.linalg.eigvalsh(G)[-1], rel=1e-8)

@@ -64,10 +64,8 @@ def test_aggregate_dispatch_rejects_bad_method_and_crit_options():
                      SupportFamily.from_supports([Support((0,))]))
     with pytest.raises(InvalidInputError, match="unknown aggregation method"):
         aggregate(pre, 1.0, "mean")
-    with pytest.raises(InvalidInputError, match="no solver options"):
-        aggregate(pre, 1.0, "crit", {"tol_gap": 1e-6})
     assert isinstance(aggregate(pre, 1.0, "crit"), CritResult)
-    assert isinstance(aggregate(pre, 1.0, "q", {"tol_gap": 1e-6}), QAggResult)
+    assert isinstance(aggregate(pre, 1.0, "q"), QAggResult)
 
 
 def test_geometric_grid_spanning_values():

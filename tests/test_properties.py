@@ -1,7 +1,8 @@
 """Property tests: the square-root Lasso, the grid family and the path
 family's least-squares fits read off the Lasso path, checked against their
 optimality conditions, the coordinate-descent reference and the pivoted-QR
-projection."""
+projection; and the Q-aggregation QP, checked against its Frank-Wolfe gap
+and every vertex."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lassoagg.aggregation import precompute
+from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
 from lassoagg.design import Support, project
 from lassoagg.errors import DegenerateVarianceError
 from lassoagg.path import (SupportFamily, compute_path, grid_support_family,
@@ -121,3 +122,48 @@ def test_path_family_fits_equal_qr_projections(data):
     for j, T in enumerate(family):
         ref = project(path.design, T, y).fitted
         assert np.linalg.norm(fitted[:, j] - ref) <= 1e-12 * scale
+
+
+@st.composite
+def rank_deficient_fits(draw):
+    """Fits F (n x M, n < M) with duplicated and affinely dependent columns,
+    nonnegative log-weights and a variance in [0, 1]."""
+    n = draw(st.integers(1, 8))
+    M = draw(st.integers(n + 1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-2, 1.0, 1e2]))
+    F = scale * rng.standard_normal((n, M))
+    for t in range(M):
+        a, b = rng.integers(M, size=2)
+        kind = draw(st.sampled_from(["free", "duplicate", "affine"]))
+        if kind == "duplicate":
+            F[:, t] = F[:, a]
+        elif kind == "affine":
+            lam = rng.uniform(-1.0, 2.0)
+            F[:, t] = lam * F[:, a] + (1.0 - lam) * F[:, b]
+    y = scale * rng.standard_normal(n)
+    G = F.T @ F
+    family = SupportFamily.from_supports([Support((j,)) for j in range(M)],
+                                         include_empty=False)
+    pre = PrecomputedFits(family=family, fitted_vectors=F, gram=G, y_dot=F.T @ y,
+                          fit_norms_sq=np.diag(G).copy(),
+                          log_inv_weights=rng.uniform(0.0, 10.0, M),
+                          y_norm_sq=float(y @ y), n=n, p=M)
+    return pre, draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient_fits())
+def test_q_aggregate_solves_rank_deficient_qps(data):
+    pre, s2 = data
+    res = q_aggregate(pre, s2)
+    assert res.converged
+    theta = res.theta_hat.theta
+    assert np.all(theta >= 0.0) and abs(theta.sum() - 1.0) <= 1e-10
+    c = -2.0 * pre.y_dot + 0.5 * pre.fit_norms_sq + 26.0 * s2 * pre.log_inv_weights
+    grad = pre.gram @ theta + c
+    gap = float(grad @ theta - np.min(grad))
+    assert gap <= 1e-9 * (1.0 + abs(res.objective) + float(np.max(np.abs(grad))))
+    vertices = 0.5 * np.diag(pre.gram) + c + pre.y_norm_sq
+    # rounding slack only: the method starts at the best vertex and descends
+    assert np.all(res.objective <= vertices + 1e-12 * (1.0 + np.abs(vertices)))

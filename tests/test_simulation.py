@@ -52,11 +52,10 @@ def test_generate_instance_orthonormal_gram():
         generate_instance(5, 6, 1, 1.0, design_kind="orthonormal")
 
 
-def test_generate_instance_s_zero_and_rademacher():
-    inst = generate_instance(20, 6, 0, sigma=2.0, noise_kind="rademacher", seed=3)
+def test_generate_instance_s_zero():
+    inst = generate_instance(20, 6, 0, sigma=2.0, seed=3)
     assert np.all(inst.beta_star == 0.0)
     assert np.all(inst.mu == 0.0)
-    assert set(np.unique(np.abs(inst.y))) == {2.0}
 
 
 def test_generate_instance_invalid_args():
@@ -69,8 +68,6 @@ def test_generate_instance_invalid_args():
         generate_instance(10, 4, 1, 1.0, design_kind="equicorrelated", rho=1.0)
     with pytest.raises(InvalidInputError):
         generate_instance(10, 4, 1, 1.0, design_kind="toeplitz")
-    with pytest.raises(InvalidInputError):
-        generate_instance(10, 4, 1, 1.0, noise_kind="cauchy")
     for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidInputError):
             generate_instance(10, 4, 1, sigma)
@@ -134,7 +131,7 @@ def test_trial_sqrt_lasso_sigma_mode():
 
 def test_exhaustive_spa_p1_matches_two_vertex_problem():
     inst = generate_instance(15, 1, 1, sigma=0.5, seed=12)
-    res = exhaustive_spa(inst.X, inst.y, 0.25, tol_gap=1e-12)
+    res = exhaustive_spa(inst.X, inst.y, 0.25)
     assert res.converged
     assert res.theta_hat.theta.size == 2  # empty set and the singleton
 
@@ -148,9 +145,8 @@ def test_exhaustive_spa_weight_normalization_p3():
 def test_exhaustive_spa_dominates_path_family():
     inst = generate_instance(16, 6, 2, sigma=0.5, seed=13)
     s2 = 0.25
-    ex = exhaustive_spa(inst.X, inst.y, s2, tol_gap=1e-10)
-    via_path = path_aggregate(inst.X, inst.y, s2, method="q",
-                              agg_opts={"tol_gap": 1e-10})
+    ex = exhaustive_spa(inst.X, inst.y, s2)
+    via_path = path_aggregate(inst.X, inst.y, s2, method="q")
     assert ex.objective <= via_path.result.objective + 1e-8
 
 
