@@ -76,19 +76,16 @@ class CritResult:
 def precompute(X, y, family: SupportFamily) -> PrecomputedFits:
     """Materialize the per-support least-squares fits and their Gram matrix.
 
-    A family that carries fits of y on X (a path family) uses them; the
-    supports of any other family are projected by pivoted QR.
+    A support uses the fit of y on X that its family carries from the
+    homotopy; any other support is projected by pivoted QR.
     """
     X = as_design(X)
     y = as_response(y, X.n)
     if len(family) == 0:
         raise InvalidInputError("support family is empty")
-    if family.fits is not None and family.fits.of(X, y):
-        F = family.fits.fitted
-    else:
-        F = np.empty((X.n, len(family)))
-        for j, T in enumerate(family):
-            F[:, j] = project(X, T, y).fitted
+    carried = family.fits.fitted if family.fits is not None and family.fits.of(X, y) else {}
+    F = np.column_stack([carried[T.indices] if T.indices in carried
+                         else project(X, T, y).fitted for T in family])
     gram = F.T @ F
     return PrecomputedFits(
         family=family,

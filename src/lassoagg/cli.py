@@ -27,7 +27,7 @@ from .path import SupportFamily, compute_path, path_support_family
 from .pipelines import PipelineReport, path_aggregate, sqrt_lasso_pipeline
 from .simulation import TrialConfig, monte_carlo
 # sqrt_lasso is unused here, but perfbench/tracing.py wraps it at this module
-from .solvers import SUPPORT_THRESH, sqrt_lasso  # noqa: F401
+from .solvers import sqrt_lasso  # noqa: F401
 from .weights import log_inv_weight, total_mass, verify_weight_bounds
 
 SCHEMA_VERSION = "1"
@@ -237,11 +237,8 @@ def _cmd_path(args):
     path = compute_path(X, y, max_knots=args.max_knots)
     family = path_support_family(path)
     if args.path_csv:
-        rows = []
-        for k, lam in enumerate(path.knots):
-            beta = path.beta_at(float(lam))
-            loss = float(np.sum((y - X.entries @ beta) ** 2)) / X.n
-            rows.append([float(lam), loss, int(np.sum(np.abs(beta) > SUPPORT_THRESH))])
+        rows = [[lam, float(np.sum((y - (seg.fit - lam * seg.slope)) ** 2)) / X.n,
+                 seg.support_size(lam)] for lam, seg in path.knot_segments()]
         save_matrix_csv(args.path_csv, np.array(rows))
     results = {
         "knots": _jsonable(path.knots),

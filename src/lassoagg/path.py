@@ -10,13 +10,13 @@ and events tied with the current knot update the active set in place.
 
 The normal equations are solved through one QR factorisation X_A = Q R,
 updated column by column as variables enter and drop, so each segment also
-yields the least-squares fit P_A y = Q Q^T y of its support.
+yields its least-squares fit P_A y = Q Q^T y and its slope X_A b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +40,7 @@ class PathSegment:
     a: np.ndarray             # beta_active(lam) = a - lam * b
     b: np.ndarray
     fit: np.ndarray           # least-squares fit P_A y = X_A a
+    slope: np.ndarray         # X_A b, so that X beta(lam) = fit - lam * slope
 
     @property
     def support(self) -> Support:
@@ -50,6 +51,10 @@ class PathSegment:
         if self.active:
             beta[list(self.active)] = self.a - lam * self.b
         return beta
+
+    def support_size(self, lam: float) -> int:
+        """Number of coefficients of beta(lam) above SUPPORT_THRESH in magnitude."""
+        return int(np.count_nonzero(np.abs(self.a - lam * self.b) > SUPPORT_THRESH))
 
 
 @dataclass
@@ -84,15 +89,27 @@ class LassoPath:
         last = self.segments[-1]
         return last.beta(last.lo, self.p)
 
-    def segment_midpoints(self) -> List[float]:
-        return [0.5 * (seg.hi + seg.lo) for seg in self.segments]
+    def knot_segments(self) -> List[Tuple[float, PathSegment]]:
+        """Each knot with the segment that ends at it; lambda_0 with the
+        zero piece above it, where beta = 0."""
+        zero = np.zeros(self.design.n)
+        above = PathSegment(hi=np.inf, lo=self.lambda0, active=(), a=np.zeros(0),
+                            b=np.zeros(0), fit=zero, slope=zero)
+        return list(zip(self.knots.tolist(), [above] + self.segments[:-1]))
+
+    def family_fits(self) -> "FamilyFits":
+        """The fit of every path support, in order of first appearance."""
+        fitted = {(): np.zeros(self.design.n)}
+        for seg in self.segments:
+            fitted.setdefault(seg.support.indices, seg.fit)
+        return FamilyFits(self.design, self.response, fitted)
 
 
 class FamilyFits(NamedTuple):
-    """Least-squares fits of y on X: column j is P_T y for the j-th support."""
+    """Least-squares fits of y on X: support indices -> P_T y."""
     X: DesignMatrix
     y: np.ndarray
-    fitted: np.ndarray
+    fitted: Dict[tuple, np.ndarray]
 
     def of(self, X: DesignMatrix, y: np.ndarray) -> bool:
         """Whether these are fits of the response y on the design X."""
@@ -104,9 +121,8 @@ class FamilyFits(NamedTuple):
 class SupportFamily:
     supports: Tuple[Support, ...]
     source: str = "external"
-    meta: dict = field(default_factory=dict, compare=False)
-    # fits carried from the homotopy for path families; precompute projects
-    # the supports of families without them
+    # fits carried from the homotopy by path and grid families; precompute
+    # projects the supports that have none
     fits: Optional[FamilyFits] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -216,7 +232,7 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
         if not lams.size or (fired_at_knot and len(knots) >= max_knots):
             truncated = bool(lams.size)
             segments.append(PathSegment(hi=lam_cur, lo=lambda_floor, active=tuple(active),
-                                        a=a, b=b, fit=fit))
+                                        a=a, b=b, fit=fit, slope=slope))
             break
 
         tied = lams >= lams.max() * (1.0 - TIE_TOL)
@@ -228,7 +244,7 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
 
         if lam_next < at_knot:
             segments.append(PathSegment(hi=lam_cur, lo=lam_next, active=tuple(active),
-                                        a=a, b=b, fit=fit))
+                                        a=a, b=b, fit=fit, slope=slope))
             knots.append(lam_next)
             lam_cur = lam_next
             fired[fired_at_knot] = False
@@ -291,38 +307,26 @@ def _insert_column(Q: np.ndarray, R: np.ndarray, x: np.ndarray,
 def path_support_family(path: LassoPath) -> SupportFamily:
     """Deduplicated supports appearing on the path, empty support included,
     in order of first appearance, carrying their least-squares fits."""
-    first = {(): np.zeros(path.design.n)}
-    for seg in path.segments:
-        first.setdefault(seg.support.indices, seg.fit)
-    fitted = np.column_stack(list(first.values()))
-    fitted.setflags(write=False)
-    fam = SupportFamily(supports=tuple(Support(T) for T in first), source="path",
-                        fits=FamilyFits(path.design, path.response, fitted))
-    fam.meta["knot_count"] = int(path.knots.size)
-    fam.meta["truncated"] = path.truncated
-    fam.meta["degenerate"] = path.degenerate
-    return fam
+    fits = path.family_fits()
+    return SupportFamily(supports=tuple(Support(T) for T in fits.fitted), source="path",
+                         fits=fits)
 
 
 def grid_support_family(X, y, lambdas) -> SupportFamily:
-    """Supports of the Lasso fits on a penalty grid, read off the path.
-
-    Penalties below the last knot of a truncated path are recorded as
-    unconverged in meta and excluded from the family.  The empty support is
-    always included.
+    """Supports of the Lasso fits on a penalty grid, read off the path,
+    which also supplies their least-squares fits.  Penalties below the last
+    knot of a truncated path are unconverged and excluded from the family.
+    The empty support is always included.
     """
     X = as_design(X)
     y = as_response(y, X.n)
     lambdas = sorted(float(l) for l in np.atleast_1d(np.asarray(lambdas, dtype=float)))
     if not lambdas or lambdas[0] <= 0.0:
         raise InvalidInputError("all grid penalties must be positive")
-    lambdas = lambdas[::-1]
 
     path = compute_path(X, y)
-    converged = {lam: not path.truncated or lam >= path.knots[-1] for lam in lambdas}
     supports = [Support.from_beta(path.beta_at(lam), SUPPORT_THRESH)
-                for lam in lambdas if converged[lam]]
+                for lam in reversed(lambdas) if not path.truncated or lam >= path.knots[-1]]
     fam = SupportFamily.from_supports(supports, source="grid")
-    fam.meta["lambdas"] = lambdas
-    fam.meta["converged"] = converged
+    fam.fits = path.family_fits()
     return fam

@@ -1,7 +1,7 @@
 """End-to-end procedures: aggregation of the Lasso-path support family and
 the fully data-driven square-root-Lasso pipeline.  Each procedure computes
 one Lasso path, which supplies the support family, the variance estimate of
-the square-root Lasso and its grid fits."""
+the square-root Lasso, its grid fits and their least-squares fits."""
 
 from __future__ import annotations
 
@@ -130,8 +130,9 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
     Fits the square-root Lasso on a geometric grid below its universal
     penalty, aggregates the resulting supports, and uses the variance
     estimate at the universal penalty.  Every fit is read off one Lasso
-    path.  Raises DegenerateVarianceError when any fit has no variance
-    estimate (residual collapse).
+    path, and so are the least-squares fits of the grid supports.  Raises
+    DegenerateVarianceError when any fit has no variance estimate (residual
+    collapse).
     """
     X = as_design(X)
     y = as_response(y, X.n)
@@ -148,6 +149,7 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
     converged = [fit.converged for fit in fits]
     family = SupportFamily.from_supports(
         [Support.from_beta(fit.beta, SUPPORT_THRESH) for fit in fits], source="grid")
+    family.fits = path.family_fits()
     t1 = time.perf_counter()
 
     result = aggregate(precompute(X, y, family), fit_max.sigma_hat_sq, method)

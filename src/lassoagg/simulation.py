@@ -21,7 +21,7 @@ from .design import DesignMatrix, Support, as_design, project
 from .errors import InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
 from .pipelines import aggregate
-from .solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
+from .solvers import sqrt_lasso, sqrt_lasso_universal_lambda
 
 
 @dataclass
@@ -61,8 +61,8 @@ def generate_instance(n: int, p: int, s: int, sigma: float,
         raise InvalidInputError("design matrix must have n >= 1 and p >= 1")
     if not 0 <= s <= p:
         raise InvalidInputError("need 0 <= s <= p")
-    if not 0 <= sigma < math.inf:
-        raise InvalidInputError("sigma must be nonnegative and finite")
+    if not (sigma >= 0 and sigma * sigma < math.inf):
+        raise InvalidInputError("sigma must be nonnegative and finite, with a finite square")
     rng = _rng(seed)
     if design_kind == "iid_gaussian":
         Xm = rng.standard_normal((n, p))
@@ -188,19 +188,19 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
 
     sigma_sq = config.sigma ** 2
     if config.bound == "soi_path":
-        # min over lambda approximated at knots and segment midpoints;
-        # the support size is constant within each segment
-        lams = list(path.knots) + path.segment_midpoints()
-        betas = [path.beta_at(lam) for lam in lams]
-        losses = [float(np.sum((X.entries @ beta - mu) ** 2)) / n for beta in betas]
-        sizes = [int(np.sum(np.abs(beta) > SUPPORT_THRESH)) for beta in betas]
+        # min over lambda approximated at knots and segment midpoints, each
+        # read off the segment that covers it
+        points = (path.knot_segments()
+                  + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
+        losses = [float(np.sum((seg.fit - lam * seg.slope - mu) ** 2)) / n for lam, seg in points]
+        sizes = [seg.support_size(lam) for lam, seg in points]
         # lambda above lambda_0, where beta = 0; this term keeps its own
         # 24*s2/n, which rounds differently from the (s2/n)*24 of the loop
         terms = ([float(np.sum(mu ** 2)) / n + SOI[1] * sigma_hat_sq / n]
                  + _bound_terms(SOI, losses, sizes, sigma_hat_sq, n, p))
         j = int(np.argmin(terms))
         rhs = terms[j] + SOI[3] * sigma_sq * config.x / n
-        minimizing = "beta=0" if j == 0 else f"lambda={lams[j - 1]:.6g}"
+        minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
     elif config.bound in ("soi_supports", "oi_supports"):
         consts = SOI if config.bound == "soi_supports" else OI
         rhs, _, T = _rhs_supports(consts, family, mu, X, sigma_hat_sq, sigma_sq, config.x)

@@ -142,27 +142,26 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
         raise DegenerateVarianceError("degenerate variance estimate: zero response")
     if path is None or path.truncated:
         path = compute_path(X, y)
-    n, Xm = X.n, X.entries
-    c = lam / math.sqrt(n)
-    beta, k, converged = np.zeros(X.p), 0, True
+    c = lam / math.sqrt(X.n)
+    beta, r, k, converged = np.zeros(X.p), y, 0, True
     # the last segment of a truncated path runs past its unknown next event
     exact = path.segments[:-1] if path.truncated else path.segments
     if c * float(np.linalg.norm(y)) < path.lambda0:
         for k, seg in enumerate(exact, start=1):
-            A = Xm[:, list(seg.active)]
-            r0, s = y - A @ seg.a, A @ seg.b
-            rr, ss = float(r0 @ r0), float(s @ s)
+            r0 = y - seg.fit
+            rr, ss = float(r0 @ r0), float(seg.slope @ seg.slope)
             if seg.lo <= c * math.sqrt(rr + seg.lo * seg.lo * ss):
                 denom = 1.0 - c * c * ss   # > 0 unless the root is at hi
                 t = c * math.sqrt(rr / denom) if denom > 0.0 else seg.hi
-                beta = seg.beta(min(max(t, seg.lo), seg.hi), X.p)
                 break
         else:
             if not path.truncated:
                 raise DegenerateVarianceError(
                     "degenerate variance estimate: residual collapsed (interpolation regime)")
-            beta, converged = path.beta_at(float(path.knots[-1])), False
-    sigma = float(np.linalg.norm(y - Xm @ beta)) / math.sqrt(n)
+            (t, seg), converged = path.knot_segments()[-1], False
+        t = min(max(t, seg.lo), seg.hi)
+        beta, r = seg.beta(t, X.p), y - (seg.fit - t * seg.slope)
+    sigma = float(np.linalg.norm(r)) / math.sqrt(X.n)
     return SqrtLassoFit(beta=beta, lam=lam, sigma_hat_sq=sigma * sigma,
                         iterations=k, converged=converged)
 

@@ -347,3 +347,12 @@ def test_one_path_per_data_set(tmp_path, data_files, monkeypatch, argv, data_set
         monkeypatch.setattr(module, "compute_path", counted)
     assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == data_sets
+
+
+def test_simulate_rejects_sigma_whose_square_overflows(capsys):
+    code = main(["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "1e200",
+                 "--reps", "2"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInputError"
+    assert "finite square" in err["message"]

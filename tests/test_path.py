@@ -5,7 +5,7 @@ from lassoagg.design import RANK_TOL, DesignMatrix, Support
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import (SupportFamily, compute_path, grid_support_family,
                            path_support_family)
-from lassoagg.simulation import generate_instance
+from lassoagg.simulation import _one_blas_thread, _openblas_thread_controls, generate_instance
 from lassoagg.solvers import SUPPORT_THRESH, kkt_check, lasso_cd
 
 
@@ -265,3 +265,20 @@ def test_family_membership_and_first_appearance_order():
     assert fam.supports == (Support((2,)), Support((0, 1)))
     assert Support((0, 1)) in fam and Support((2,)) in fam
     assert Support(()) not in fam and (0, 1) not in fam
+
+
+def test_path_does_not_depend_on_the_blas_thread_count():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library found")
+    inst = generate_instance(200, 1000, 10, 1.0, design_kind="equicorrelated", seed=5)
+    with _one_blas_thread():    # restores the previous counts on exit
+        one = compute_path(inst.X, inst.y)
+        for _, set_threads in controls:
+            set_threads(2)
+        two = compute_path(inst.X, inst.y)
+    assert np.array_equal(one.knots, two.knots)
+    assert len(one.segments) == len(two.segments)
+    for s1, s2 in zip(one.segments, two.segments):
+        assert s1.active == s2.active
+        assert np.array_equal(s1.fit, s2.fit)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lassoagg.aggregation
 from lassoagg.aggregation import CritResult, QAggResult, precompute
 from lassoagg.design import Support
 from lassoagg.errors import DegenerateVarianceError, InvalidInputError
@@ -156,3 +157,16 @@ def test_sqrt_pipeline_ends_when_p_exceeds_n():
     report = sqrt_lasso_pipeline(inst.X, inst.y, lambda_min=0.2 * lam_u)
     assert report.fits_converged
     assert 0.0 < report.sigma_hat_sq < float(inst.y @ inst.y) / 100
+
+
+@pytest.mark.parametrize("method", ["q", "crit"])
+def test_sqrt_pipeline_reads_every_fit_off_its_path(method, monkeypatch):
+    # the grid supports are path supports, so none of them is projected
+    def no_projection(*args, **kwargs):
+        raise AssertionError("project called")
+
+    monkeypatch.setattr(lassoagg.aggregation, "project", no_projection)
+    inst = generate_instance(100, 50, 5, 1.0, seed=0)
+    report = sqrt_lasso_pipeline(inst.X, inst.y, method=method)
+    assert len(report.family) > 1
+    assert report.fits_converged

@@ -1,8 +1,9 @@
-"""Property tests: the square-root Lasso, the grid family and the path
-family's least-squares fits read off the Lasso path, checked against their
-optimality conditions, the coordinate-descent reference and the pivoted-QR
-projection; and the Q-aggregation QP, checked against its Frank-Wolfe gap
-and every vertex."""
+"""Property tests: the square-root Lasso, the grid family, the segments'
+fitted values and the least-squares fits that path and grid families carry,
+all read off the Lasso path, checked against their optimality conditions,
+the coordinate-descent reference, X beta and the pivoted-QR projection; and
+the Q-aggregation QP, checked against its Frank-Wolfe gap and every
+vertex."""
 
 import math
 
@@ -15,6 +16,7 @@ from lassoagg.design import Support, project
 from lassoagg.errors import DegenerateVarianceError
 from lassoagg.path import (SupportFamily, compute_path, grid_support_family,
                            path_support_family)
+from lassoagg.pipelines import sqrt_lasso_pipeline
 from lassoagg.simulation import generate_instance
 from lassoagg.solvers import (SUPPORT_THRESH, lasso_cd, sqrt_lasso,
                               sqrt_lasso_universal_lambda)
@@ -113,15 +115,47 @@ def wide_instances(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(wide_instances())
-def test_path_family_fits_equal_qr_projections(data):
+def test_segment_fitted_values_equal_x_beta(data):
     X, y = data
     path = compute_path(X, y)
-    family = path_support_family(path)
-    fitted = precompute(path.design, y, family).fitted_vectors
     scale = max(float(np.linalg.norm(y)), 1e-300)
-    for j, T in enumerate(family):
-        ref = project(path.design, T, y).fitted
-        assert np.linalg.norm(fitted[:, j] - ref) <= 1e-12 * scale
+    for seg in path.segments:
+        for lam in (seg.hi, 0.5 * (seg.hi + seg.lo), seg.lo):
+            err = seg.fit - lam * seg.slope - X @ seg.beta(lam, X.shape[1])
+            assert np.linalg.norm(err) <= 1e-11 * scale
+
+
+def _families_with_fits(X, y):
+    """The path family, a grid family at knots, midpoints and fractions of
+    lambda_0, and the square-root-Lasso grid family (unless it interpolates)."""
+    path = compute_path(X, y)
+    families = [path_support_family(path)]
+    if path.lambda0 > 0.0:
+        lams = (list(path.knots)
+                + [0.5 * (seg.hi + seg.lo) for seg in path.segments]
+                + [f * path.lambda0 for f in (1.5, 0.5, 0.1, 1e-3)])
+        families.append(grid_support_family(path.design, y, lams))
+    lam_u = sqrt_lasso_universal_lambda(*X.shape)
+    try:
+        families.append(sqrt_lasso_pipeline(path.design, y, lambda_min=lam_u / 4, M=6,
+                                            method="crit").family)
+    except DegenerateVarianceError:
+        pass
+    return path.design, families
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_instances())
+def test_path_family_fits_equal_qr_projections(data):
+    X, y = data
+    design, families = _families_with_fits(X, y)
+    scale = max(float(np.linalg.norm(y)), 1e-300)
+    for family in families:
+        assert family.fits is not None
+        fitted = precompute(design, y, family).fitted_vectors
+        for j, T in enumerate(family):
+            ref = project(design, T, y).fitted
+            assert np.linalg.norm(fitted[:, j] - ref) <= 1e-12 * scale
 
 
 @st.composite
