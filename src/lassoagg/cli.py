@@ -37,6 +37,10 @@ class ParseError(InvalidInputError):
     pass
 
 
+class OutputError(InvalidInputError):
+    pass
+
+
 def load_matrix_csv(path: str, header: bool = False) -> DesignMatrix:
     """Load an RFC-4180 CSV (no header by default) as a design matrix."""
     rows = _load_rows(path, header)
@@ -58,6 +62,9 @@ def load_vector_csv(path: str, header: bool = False) -> np.ndarray:
 
 
 def _load_rows(path, header):
+    """(line number, values) of each nonblank row, the header skipped.  Cells
+    are parsed with Python float syntax; a row that has a bad cell is scanned
+    again, cell by cell, to name the first one."""
     rows = []
     try:
         fh = open(path, newline="")
@@ -69,68 +76,82 @@ def _load_rows(path, header):
                 continue
             if not row:
                 continue
-            parsed = []
-            for colno, cell in enumerate(row, start=1):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-numeric cell in column {colno}: {cell!r}")
-                if not np.isfinite(v):
-                    raise ParseError(f"{path}:{lineno}: non-finite value in column {colno}: {cell!r}")
-                parsed.append(v)
+            try:
+                parsed = list(map(float, row))
+            except ValueError:
+                parsed = None
+            # the sum of finite values is finite unless it overflows
+            if parsed is None or not math.isfinite(sum(parsed)):
+                _raise_first_bad_cell(path, lineno, row)
             rows.append((lineno, parsed))
     if not rows:
         raise ParseError(f"{path}: empty file")
     return rows
 
 
+def _raise_first_bad_cell(path, lineno, row):
+    """Raise the ParseError of the first non-numeric or non-finite cell of
+    row; return if there is none (finite values whose sum overflows)."""
+    for colno, cell in enumerate(row, start=1):
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric cell in column {colno}: {cell!r}")
+        if not math.isfinite(v):
+            raise ParseError(f"{path}:{lineno}: non-finite value in column {colno}: {cell!r}")
+
+
+def _open_output(path, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise OutputError(f"cannot open {path} for writing: {exc}") from exc
+
+
 def save_matrix_csv(path: str, mat: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(mat):
-            writer.writerow([repr(float(v)) for v in row])
+    """Write the rows of mat as CSV lines (CRLF-terminated) of shortest
+    round-trip float reprs."""
+    rows = np.atleast_2d(np.asarray(mat, dtype=float)).tolist()
+    with _open_output(path, newline="") as fh:
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _jsonable(obj):
+    """The json encoder's hook for the objects it cannot encode itself."""
     if isinstance(obj, Support):
         return obj.one_based()
     if isinstance(obj, SupportFamily):
-        return {"source": obj.source, "supports": [_jsonable(T) for T in obj.supports]}
+        return {"source": obj.source, "supports": obj.supports}
     if isinstance(obj, QAggResult):
         return {
             "kind": "q",
-            "theta_hat": _jsonable(obj.theta_hat.theta),
+            "theta_hat": obj.theta_hat.theta,
             "objective": obj.objective,
             "fw_gap": obj.fw_gap,
             "sigma_hat_sq_used": obj.sigma_hat_sq_used,
             "converged": obj.converged,
             "iterations": obj.iterations,
-            "mu_hat": _jsonable(obj.mu_hat),
+            "mu_hat": obj.mu_hat,
         }
     if isinstance(obj, CritResult):
         return {
             "kind": "crit",
-            "chosen": _jsonable(obj.chosen),
+            "chosen": obj.chosen,
             "crit_value": obj.crit_value,
             "sigma_hat_sq_used": obj.sigma_hat_sq_used,
-            "mu_hat": _jsonable(obj.mu_hat),
+            "mu_hat": obj.mu_hat,
         }
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
     # sorted keys + repr floats (shortest round-trip) = byte-stable output
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.dumps(obj, default=_jsonable, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def write_report(config: dict, results: dict, environment_extra: Optional[dict],
@@ -148,7 +169,7 @@ def write_report(config: dict, results: dict, environment_extra: Optional[dict],
     }
     text = canonical_json(report)
     if out:
-        with open(out, "w") as fh:
+        with _open_output(out) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -156,15 +177,15 @@ def write_report(config: dict, results: dict, environment_extra: Optional[dict],
 
 def _pipeline_results(report: PipelineReport) -> dict:
     res = {
-        "family": _jsonable(report.family),
+        "family": report.family,
         "sigma_hat_sq": report.sigma_hat_sq,
         "method": report.method,
-        "result": _jsonable(report.result),
+        "result": report.result,
     }
     if report.path_meta:
-        res["path_meta"] = _jsonable(report.path_meta)
+        res["path_meta"] = report.path_meta
     if report.grid_meta:
-        res["grid_meta"] = _jsonable(report.grid_meta)
+        res["grid_meta"] = report.grid_meta
     return res
 
 
@@ -241,9 +262,9 @@ def _cmd_path(args):
                  seg.support_size(lam)] for lam, seg in path.knot_segments()]
         save_matrix_csv(args.path_csv, np.array(rows))
     results = {
-        "knots": _jsonable(path.knots),
-        "supports": [_jsonable(T) for T in path.supports],
-        "family": _jsonable(family),
+        "knots": path.knots,
+        "supports": path.supports,
+        "family": family,
         "truncated": path.truncated,
         "degenerate": path.degenerate,
     }

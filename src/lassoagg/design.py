@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -68,19 +68,12 @@ class Support:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        idx = tuple(map(int, self.indices))
+        if not all(map(operator.lt, idx, idx[1:])):
             raise InvalidInputError("support indices must be strictly increasing")
         if idx and idx[0] < 0:
             raise InvalidInputError("support indices must be nonnegative")
         object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def from_iterable(cls, it: Iterable[int], p: Optional[int] = None) -> "Support":
-        idx = tuple(sorted(set(int(i) for i in it)))
-        if p is not None and idx and idx[-1] >= p:
-            raise InvalidInputError(f"support index {idx[-1]} out of range for p={p}")
-        return cls(idx)
 
     @classmethod
     def from_beta(cls, beta, thresh: float = 1e-10) -> "Support":

@@ -44,7 +44,7 @@ class PathSegment:
 
     @property
     def support(self) -> Support:
-        return Support.from_iterable(self.active)
+        return Support(tuple(sorted(self.active)))
 
     def beta(self, lam: float, p: int) -> np.ndarray:
         beta = np.zeros(p)
@@ -101,7 +101,7 @@ class LassoPath:
         """The fit of every path support, in order of first appearance."""
         fitted = {(): np.zeros(self.design.n)}
         for seg in self.segments:
-            fitted.setdefault(seg.support.indices, seg.fit)
+            fitted.setdefault(tuple(sorted(seg.active)), seg.fit)
         return FamilyFits(self.design, self.response, fitted)
 
 

@@ -51,6 +51,25 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError, match=r"inf\.csv:2.*non-finite"):
         load_vector_csv(str(inf))
 
+    nan = tmp_path / "nan.csv"
+    nan.write_text("1.0,2.0,3.0\n4.0,5.0, nan\n")
+    with pytest.raises(ParseError) as exc:
+        load_matrix_csv(str(nan))
+    assert str(exc.value) == f"{nan}:2: non-finite value in column 3: ' nan'"
+
+    # blank lines count towards the line number
+    blank = tmp_path / "blank.csv"
+    blank.write_text("1.0,2.0\n\n\n3.0,x\n")
+    with pytest.raises(ParseError) as exc:
+        load_matrix_csv(str(blank))
+    assert str(exc.value) == f"{blank}:4: non-numeric cell in column 2: 'x'"
+
+    # quoted and padded numbers, and finite cells whose sum overflows, are accepted
+    good = tmp_path / "good.csv"
+    good.write_text('"1.5",2\n 1.5 ,\t-3e-2\n1e308,1e308\n')
+    assert load_matrix_csv(str(good)).entries.tolist() == [[1.5, 2.0], [1.5, -0.03],
+                                                          [1e308, 1e308]]
+
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ParseError, match="empty"):
@@ -58,6 +77,14 @@ def test_csv_errors_carry_line_numbers(tmp_path):
 
     with pytest.raises(ParseError, match="cannot open"):
         load_vector_csv(str(tmp_path / "missing.csv"))
+
+
+def test_save_matrix_csv_golden_bytes(tmp_path):
+    f = tmp_path / "m.csv"
+    save_matrix_csv(str(f), [[1.0, -0.0], [1e-05, 3.0]])
+    assert f.read_bytes() == b"1.0,-0.0\r\n1e-05,3.0\r\n"
+    save_matrix_csv(str(f), np.array([2.5, 5e-324]))
+    assert f.read_bytes() == b"2.5,5e-324\r\n"
 
 
 def test_header_row_skipped(tmp_path):
@@ -71,6 +98,25 @@ def test_canonical_json_is_sorted_and_exact():
     assert text == '{"a":0.3333333333333333,"b":0.1}'
     # floats survive a round trip exactly
     assert json.loads(text)["a"] == 1.0 / 3.0
+
+
+def test_canonical_json_rejects_unknown_objects():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_json({"a": [object()]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--p", "5", "--out", "{missing}/r.json"],
+    ["path", "--x", "{x}", "--y", "{y}", "--path-csv", "{missing}/p.csv"],
+])
+def test_unwritable_output_exits_2(tmp_path, data_files, argv, capsys):
+    xpath, ypath, *_ = data_files
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing, x=xpath, y=ypath) for a in argv]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OutputError"
+    assert err["message"].startswith(f"cannot open {missing}/")
 
 
 def test_path_command_writes_report(tmp_path, data_files, capsys):

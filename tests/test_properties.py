@@ -3,15 +3,19 @@ fitted values and the least-squares fits that path and grid families carry,
 all read off the Lasso path, checked against their optimality conditions,
 the coordinate-descent reference, X beta and the pivoted-QR projection; and
 the Q-aggregation QP, checked against its Frank-Wolfe gap and every
-vertex."""
+vertex; and the CLI's CSV round trip."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
+from lassoagg.cli import load_matrix_csv, save_matrix_csv
 from lassoagg.design import Support, project
 from lassoagg.errors import DegenerateVarianceError
 from lassoagg.path import (SupportFamily, compute_path, grid_support_family,
@@ -201,3 +205,17 @@ def test_q_aggregate_solves_rank_deficient_qps(data):
     vertices = 0.5 * np.diag(pre.gram) + c + pre.y_norm_sq
     # rounding slack only: the method starts at the best vertex and descends
     assert np.all(res.objective <= vertices + 1e-12 * (1.0 + np.abs(vertices)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=st.floats(allow_nan=False, allow_infinity=False, width=64)))
+@example(np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
+                   [1.7e308, -1.7e308, 1.7976931348623157e308]]))
+def test_csv_round_trip_is_bitwise(M):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        save_matrix_csv(path, M)
+        back = load_matrix_csv(path).entries
+    assert back.shape == M.shape
+    assert back.tobytes() == M.tobytes()
