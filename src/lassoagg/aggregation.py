@@ -17,7 +17,7 @@ import numpy as np
 from .design import Support, as_design, as_response, project
 from .errors import InvalidInputError
 from .path import SupportFamily
-from .weights import log_inv_weight
+from .weights import log_inv_weights
 
 # Constants of the two penalized objectives.
 CRIT_PENALTY = 18.0
@@ -93,7 +93,7 @@ def precompute(X, y, family: SupportFamily) -> PrecomputedFits:
         gram=gram,
         y_dot=F.T @ y,
         fit_norms_sq=np.diag(gram).copy(),
-        log_inv_weights=np.array([log_inv_weight(X.p, T.size) for T in family]),
+        log_inv_weights=log_inv_weights(X.p, [T.size for T in family]),
         y_norm_sq=float(y @ y),
         n=X.n,
         p=X.p,

@@ -28,7 +28,7 @@ from .pipelines import PipelineReport, path_aggregate, sqrt_lasso_pipeline
 from .simulation import TrialConfig, monte_carlo
 # sqrt_lasso is unused here, but perfbench/tracing.py wraps it at this module
 from .solvers import sqrt_lasso  # noqa: F401
-from .weights import log_inv_weight, total_mass, verify_weight_bounds
+from .weights import total_mass, verify_weight_bounds, weight_table
 
 SCHEMA_VERSION = "1"
 
@@ -343,7 +343,7 @@ def _cmd_weights(args):
     p = args.p
     results = {
         "p": p,
-        "log_inv_weight_by_size": [log_inv_weight(p, k) for k in range(p + 1)],
+        "log_inv_weight_by_size": weight_table(p).log_inv_weight_by_size,
         "bounds_hold": verify_weight_bounds(p) if p <= 64 else None,
         "total_mass": total_mass(p) if p <= 30 else None,
     }

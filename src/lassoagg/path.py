@@ -16,6 +16,7 @@ yields its least-squares fit P_A y = Q Q^T y and its slope X_A b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,8 @@ from .solvers import SUPPORT_THRESH, lasso_cd  # noqa: F401
 # Relative tolerance under which simultaneous events count as a tie;
 # ties are broken by the lowest column index for determinism.
 TIE_TOL = 1e-10
+_SMALLEST_POSITIVE = float(np.finfo(float).smallest_subnormal)
+_ENTRY_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -75,6 +78,15 @@ class LassoPath:
     @property
     def supports(self) -> List[Support]:
         return [seg.support for seg in self.segments]
+
+    @cached_property
+    def segment_norms_sq(self) -> Tuple[np.ndarray, np.ndarray]:
+        """||y - fit||^2 and ||slope||^2 of every segment, computed once."""
+        rr, ss = np.empty(len(self.segments)), np.empty(len(self.segments))
+        for i, seg in enumerate(self.segments):
+            r0 = self.response - seg.fit
+            rr[i], ss[i] = r0 @ r0, seg.slope @ seg.slope
+        return rr, ss
 
     def beta_at(self, lam: float) -> np.ndarray:
         """Coefficient vector at penalty level lam (zero above lambda_0)."""
@@ -178,8 +190,10 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
 
     degenerate = False
     truncated = False
-    active: List[int] = []
-    signs: List[float] = []
+    active = np.empty(0, dtype=np.intp)   # active columns, in order of entry
+    signs = np.empty(0)                   # their signs on the current segment
+    # the same columns for the segments, which share their int objects
+    active_cols: Tuple[int, ...] = ()
     knots: List[float] = [lam0]
     segments: List[PathSegment] = []
     lam_cur = lam0
@@ -193,57 +207,38 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     fired = np.zeros(p, dtype=bool)
     fired_at_knot: List[int] = []
     trtrs = scipy.linalg.lapack.dtrtrs
+    resid_slope = np.empty((2, n))    # rows y - fit and slope of the segment
 
     while True:
         z = Q.T @ y
         fit = Q @ z                       # P_A y: X beta at lam = 0 on this segment
-        if active:
+        if active.size:
             # a = R^-1 Q^T y and b = n R^-1 R^-T s, by LAPACK triangular solves
-            v = trtrs(R, np.asarray(signs), trans=1)[0]
+            v = trtrs(R, signs, trans=1)[0]
             ab = trtrs(R, np.column_stack((z, v)))[0]
             a, b = ab[:, 0], n * ab[:, 1]
             slope = n * (Q @ v)           # X_A b
         else:
             a = b = np.zeros(0)
             slope = np.zeros(n)
-        u, w = (np.stack((y - fit, slope)) @ Xm) / n
+        np.subtract(y, fit, out=resid_slope[0])
+        resid_slope[1] = slope
+        u, w = (resid_slope @ Xm) / n
 
-        # candidate events at or below lam_cur; events tied with the current
-        # knot are allowed unless that column already fired there
-        upper = lam_cur * (1.0 + TIE_TOL)
-        at_knot = lam_cur * (1.0 - TIE_TOL)
-        act = np.asarray(active, dtype=np.intp)
-        denom = np.stack((1.0 - w, -1.0 - w))     # entry with sign +1, -1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam_add = u / denom
-            lam_drop = a / b
-        ok_add = _allowed(lam_add, enterable & (np.abs(denom) >= 1e-14), fired,
-                          upper, at_knot)
-        ok_drop = _allowed(lam_drop, b != 0.0, fired[act], upper, at_knot)
-        # row-major order lists every +1 entry before any -1 entry
-        sign_row, add_cols = np.nonzero(ok_add)
-        lams = np.minimum(np.concatenate((lam_add[ok_add], lam_drop[ok_drop])), lam_cur)
-        cols = np.concatenate((add_cols, act[ok_drop]))
-        sgns = np.concatenate((1.0 - 2.0 * sign_row, np.zeros(np.count_nonzero(ok_drop))))
-        keep = lams >= lambda_floor
-        lams, cols, sgns = lams[keep], cols[keep], sgns[keep]
-
+        event = _next_event(u, w, a, b, active, enterable,
+                            fired if fired_at_knot else None, lam_cur, lambda_floor)
         # the cap is checked once the first event at the last knot has fired
-        if not lams.size or (fired_at_knot and len(knots) >= max_knots):
-            truncated = bool(lams.size)
-            segments.append(PathSegment(hi=lam_cur, lo=lambda_floor, active=tuple(active),
+        if event is None or (fired_at_knot and len(knots) >= max_knots):
+            truncated = event is not None
+            segments.append(PathSegment(hi=lam_cur, lo=lambda_floor, active=active_cols,
                                         a=a, b=b, fit=fit, slope=slope))
             break
-
-        tied = lams >= lams.max() * (1.0 - TIE_TOL)
-        if np.count_nonzero(tied) > 1:
+        lam_next, j_ev, sgn, tied = event
+        if tied:
             degenerate = True
-        # lowest column first; an entry with sign +1 precedes its -1 twin
-        ev = int(np.flatnonzero(tied & (cols == cols[tied].min()))[0])
-        lam_next, j_ev, sgn = float(lams[ev]), int(cols[ev]), float(sgns[ev])
 
-        if lam_next < at_knot:
-            segments.append(PathSegment(hi=lam_cur, lo=lam_next, active=tuple(active),
+        if lam_next < lam_cur * (1.0 - TIE_TOL):
+            segments.append(PathSegment(hi=lam_cur, lo=lam_next, active=active_cols,
                                         a=a, b=b, fit=fit, slope=slope))
             knots.append(lam_next)
             lam_cur = lam_next
@@ -254,21 +249,24 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
             # the active set is updated in place without recording a knot
             degenerate = True
         if sgn != 0.0:
+            grown = np.append(active, j_ev)
             Q, R, independent = _insert_column(Q, R, Xm[:, j_ev],
-                                               RANK_TOL * col_norms[active + [j_ev]].max())
+                                               RANK_TOL * col_norms[grown].max())
             if independent:
-                active.append(j_ev)
-                signs.append(sgn)
+                active = grown
+                active_cols += (j_ev,)
+                signs = np.append(signs, sgn)
                 enterable[j_ev] = False
             else:
                 # X_j lies in the span of the active columns
                 degenerate = True
         else:
-            k = active.index(j_ev)
+            k = int(np.flatnonzero(active == j_ev)[0])
             Q, R = scipy.linalg.qr_delete(Q, R, k, which="col", check_finite=False)
             Q, R = Q[:, :R.shape[1]], R[:R.shape[1]]
-            active.pop(k)
-            signs.pop(k)
+            active = np.delete(active, k)
+            active_cols = active_cols[:k] + active_cols[k + 1:]
+            signs = np.delete(signs, k)
             enterable[j_ev] = True
         fired[j_ev] = True
         fired_at_knot.append(j_ev)
@@ -278,11 +276,55 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
                      degenerate=degenerate, design=X, response=y)
 
 
-def _allowed(lam: np.ndarray, ok: np.ndarray, fired: np.ndarray, upper: float,
-             at_knot: float) -> np.ndarray:
-    """Events in (0, upper) among ok, except those of columns that already
-    fired at the current knot (lam >= at_knot)."""
-    return ok & (0.0 < lam) & (lam < upper) & ~((lam >= at_knot) & fired)
+def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                active: np.ndarray, enterable: np.ndarray, fired: Optional[np.ndarray],
+                lam_cur: float, lambda_floor: float
+                ) -> Optional[Tuple[float, int, float, bool]]:
+    """The homotopy's next event at or below lam_cur, or None if none is left.
+
+    Column j may enter with sign +1 or -1 at u_j / (+-1 - w_j) if it is
+    enterable and the denominator is at least 1e-14 in magnitude; active
+    column active[i] may drop at a_i / b_i if b_i != 0.  An event counts if
+    its time is positive and lies in [lambda_floor, lam_cur * (1 + TIE_TOL)),
+    unless its column is marked in fired (None: no column fired at the
+    current knot) and its time is at least lam_cur * (1 - TIE_TOL).  Times
+    are clamped to lam_cur, which must be at least lambda_floor.  The events
+    within TIE_TOL of the latest are tied; of these the lowest column wins,
+    its +1 entry before its -1 entry.  Returns (lambda, column, sign, tied):
+    sign is +-1 for an entry and 0 for a drop, and tied says that more than
+    one event was tied.
+    """
+    p = w.size
+    upper = lam_cur * (1.0 + TIE_TOL)
+    # lambda_floor > 0 on every path; a zero floor still admits only positive times
+    low = max(lambda_floor, _SMALLEST_POSITIVE)
+    # event times, in the order of the tie rules: the entries with sign +1,
+    # then those with sign -1, both by column, then the drops; an event
+    # that cannot fire has time -inf, and a time below low is left to the
+    # final comparison with low
+    t = np.full(2 * p + b.size, -np.inf)
+    denom = np.subtract.outer(_ENTRY_SIGNS, w)
+    ok = np.abs(denom) >= 1e-14
+    ok &= enterable
+    np.divide(u, denom, out=t[:2 * p].reshape(2, p), where=ok)
+    np.divide(a, b, out=t[2 * p:], where=b != 0.0)
+    np.putmask(t, t >= upper, -np.inf)
+    if fired is not None:
+        refired = np.concatenate((fired, fired, fired[active]))
+        refired &= t >= lam_cur * (1.0 - TIE_TOL)
+        np.putmask(t, refired, -np.inf)
+    np.minimum(t, lam_cur, out=t)
+    latest = t.max()
+    if not latest >= low:
+        return None
+    tied = np.flatnonzero(t >= max(latest * (1.0 - TIE_TOL), low)).tolist()
+
+    def column(i: int) -> int:
+        return i if i < p else i - p if i < 2 * p else int(active[i - 2 * p])
+
+    i = min(tied, key=lambda i: (column(i), i))
+    sign = 1.0 if i < p else -1.0 if i < 2 * p else 0.0
+    return float(t[i]), column(i), sign, len(tied) > 1
 
 
 def _insert_column(Q: np.ndarray, R: np.ndarray, x: np.ndarray,

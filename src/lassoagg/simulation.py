@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -21,7 +22,7 @@ from .design import DesignMatrix, Support, as_design, project
 from .errors import InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
 from .pipelines import aggregate
-from .solvers import sqrt_lasso, sqrt_lasso_universal_lambda
+from .solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
 
 
 @dataclass
@@ -162,6 +163,36 @@ class TrialConfig:
     rho: float = 0.5
 
 
+def _losses_and_sizes(points, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """||X beta(lam) - mu||^2 / n and the support size of beta(lam) at each
+    (lam, covering segment) of points, evaluated a block of points at a time."""
+    n = mu.size
+    # a block's arrays take at most 64 KiB each, below malloc's mmap
+    # threshold, so that peak memory does not grow with the number of points
+    rows = max(1, 8192 // n)
+    losses = np.empty(len(points))
+    sizes = np.empty(len(points), dtype=np.intp)
+    for start in range(0, len(points), rows):
+        block = points[start:start + rows]
+        lams = np.array([lam for lam, _ in block])
+        # X beta(lam) - mu = fit - lam * slope - mu, squared in place
+        resid = np.array([seg.fit for _, seg in block])
+        step = np.array([seg.slope for _, seg in block])
+        step *= lams[:, None]
+        resid -= step
+        resid -= mu
+        resid *= resid
+        losses[start:start + rows] = resid.sum(axis=1)
+        # beta(lam) = a - lam * b on the active set of each point's segment
+        counts = [seg.a.size for _, seg in block]
+        beta = (np.concatenate([seg.a for _, seg in block])
+                - np.repeat(lams, counts) * np.concatenate([seg.b for _, seg in block]))
+        owner = np.repeat(np.arange(len(block)), counts)
+        sizes[start:start + rows] = np.bincount(owner[np.abs(beta) > SUPPORT_THRESH],
+                                                minlength=len(block))
+    return losses / n, sizes
+
+
 def run_oracle_trial(config: TrialConfig) -> OracleCheck:
     """One replication: generate data, run the path pipeline, compare the
     realized loss with the matching oracle-inequality bound."""
@@ -192,12 +223,11 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
         # read off the segment that covers it
         points = (path.knot_segments()
                   + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
-        losses = [float(np.sum((seg.fit - lam * seg.slope - mu) ** 2)) / n for lam, seg in points]
-        sizes = [seg.support_size(lam) for lam, seg in points]
+        losses, sizes = _losses_and_sizes(points, mu)
         # lambda above lambda_0, where beta = 0; this term keeps its own
         # 24*s2/n, which rounds differently from the (s2/n)*24 of the loop
         terms = ([float(np.sum(mu ** 2)) / n + SOI[1] * sigma_hat_sq / n]
-                 + _bound_terms(SOI, losses, sizes, sigma_hat_sq, n, p))
+                 + _bound_terms(SOI, losses.tolist(), sizes.tolist(), sigma_hat_sq, n, p))
         j = int(np.argmin(terms))
         rhs = terms[j] + SOI[3] * sigma_sq * config.x / n
         minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
@@ -225,15 +255,17 @@ def exhaustive_spa(X, y, sigma_hat_sq: float) -> QAggResult:
     return q_aggregate(pre, sigma_hat_sq)
 
 
-def _openblas_thread_controls() -> list:
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_controls() -> tuple:
     """The (get, set) thread-count functions of every OpenBLAS library
-    mapped into this process (numpy and scipy each bundle one)."""
+    mapped into this process (numpy and scipy each bundle one), looked up
+    once per process; forked workers map the same libraries."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh
                             if "openblas" in line.lower() and line.split()[-1].startswith("/")})
     except OSError:
-        return []
+        return ()
     names = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
              for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
     controls = []
@@ -248,7 +280,7 @@ def _openblas_thread_controls() -> list:
             get.restype, get.argtypes = ctypes.c_int, []
             set_.restype, set_.argtypes = None, [ctypes.c_int]
             controls.append((get, set_))
-    return controls
+    return tuple(controls)
 
 
 def _pin_blas_threads() -> None:

@@ -128,9 +128,10 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
     The solution is the Lasso fit at the penalty t = c*||r(t)||, c = lam/sqrt(n).
     On a path segment r(t) = r0 + t*s with r0 orthogonal to s, so ||r(t)||/t
     grows as t falls: the root is unique and in closed form.  A missing or
-    truncated path of (X, y) is recomputed, so the fit does not depend on
-    it; it is unconverged only when the knot cap stops the path above the
-    root.  Raises DegenerateVarianceError when the residual collapses.
+    truncated path, or one of another response, is recomputed, so the fit
+    does not depend on it; it is unconverged only when the knot cap stops
+    the path above the root.  Raises DegenerateVarianceError when the
+    residual collapses.
     """
     from .path import compute_path  # path imports this module
 
@@ -140,21 +141,25 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
         raise InvalidInputError("lam must be positive")
     if not np.any(y):
         raise DegenerateVarianceError("degenerate variance estimate: zero response")
-    if path is None or path.truncated:
+    if path is None or path.truncated or not np.array_equal(path.response, y):
         path = compute_path(X, y)
     c = lam / math.sqrt(X.n)
     beta, r, k, converged = np.zeros(X.p), y, 0, True
     # the last segment of a truncated path runs past its unknown next event
     exact = path.segments[:-1] if path.truncated else path.segments
     if c * float(np.linalg.norm(y)) < path.lambda0:
-        for k, seg in enumerate(exact, start=1):
-            r0 = y - seg.fit
-            rr, ss = float(r0 @ r0), float(seg.slope @ seg.slope)
-            if seg.lo <= c * math.sqrt(rr + seg.lo * seg.lo * ss):
-                denom = 1.0 - c * c * ss   # > 0 unless the root is at hi
-                t = c * math.sqrt(rr / denom) if denom > 0.0 else seg.hi
-                break
+        # the root lies on the first segment whose lower end is at or below
+        # c * ||r(lo)||; k counts the segments searched
+        rr, ss = (v[:len(exact)] for v in path.segment_norms_sq)
+        lo = np.array([seg.lo for seg in exact])
+        roots = np.flatnonzero(lo <= c * np.sqrt(rr + lo * lo * ss))
+        if roots.size:
+            k = int(roots[0]) + 1
+            seg, rr_k, ss_k = exact[k - 1], float(rr[k - 1]), float(ss[k - 1])
+            denom = 1.0 - c * c * ss_k   # > 0 unless the root is at hi
+            t = c * math.sqrt(rr_k / denom) if denom > 0.0 else seg.hi
         else:
+            k = len(exact)
             if not path.truncated:
                 raise DegenerateVarianceError(
                     "degenerate variance estimate: residual collapsed (interpolation regime)")

@@ -25,13 +25,21 @@ def log_binomial(p: int, k) -> np.ndarray:
     return gammaln(p + 1) - gammaln(k + 1) - gammaln(p - k + 1)
 
 
-def log_inv_weight(p: int, k: int) -> float:
-    """log(1/weight) for any support of size k: log H_p + log C(p,k) + k."""
+def log_inv_weights(p: int, sizes) -> np.ndarray:
+    """log(1/weight) for supports of the given sizes k: log H_p + log C(p,k) + k."""
     if p < 1:
         raise InvalidInputError("p must be >= 1")
-    if not 0 <= k <= p:
-        raise InvalidInputError(f"support size k={k} out of range [0, {p}]")
-    return float(log_hp(p) + log_binomial(p, k) + k)
+    sizes = np.asarray(sizes)
+    out_of_range = (sizes < 0) | (sizes > p)
+    if np.any(out_of_range):
+        raise InvalidInputError(f"support size k={sizes[out_of_range].flat[0]} "
+                                f"out of range [0, {p}]")
+    return log_hp(p) + log_binomial(p, sizes) + sizes
+
+
+def log_inv_weight(p: int, k: int) -> float:
+    """log(1/weight) for any support of size k: log H_p + log C(p,k) + k."""
+    return float(log_inv_weights(p, k))
 
 
 @dataclass(frozen=True)
@@ -42,10 +50,7 @@ class WeightTable:
 
 
 def weight_table(p: int) -> WeightTable:
-    if p < 1:
-        raise InvalidInputError("p must be >= 1")
-    ks = np.arange(p + 1)
-    table = log_hp(p) + log_binomial(p, ks) + ks
+    table = log_inv_weights(p, np.arange(p + 1))
     table.setflags(write=False)
     return WeightTable(p=p, log_H_p=log_hp(p), log_inv_weight_by_size=table)
 

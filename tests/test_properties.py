@@ -1,9 +1,10 @@
 """Property tests: the square-root Lasso, the grid family, the segments'
 fitted values and the least-squares fits that path and grid families carry,
 all read off the Lasso path, checked against their optimality conditions,
-the coordinate-descent reference, X beta and the pivoted-QR projection; and
-the Q-aggregation QP, checked against its Frank-Wolfe gap and every
-vertex; and the CLI's CSV round trip."""
+the coordinate-descent reference, X beta and the pivoted-QR projection; the
+homotopy's event search, checked against its candidate-list form; the
+Q-aggregation QP, checked against its Frank-Wolfe gap and every vertex; and
+the CLI's CSV round trip."""
 
 import math
 import os
@@ -18,8 +19,8 @@ from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
 from lassoagg.cli import load_matrix_csv, save_matrix_csv
 from lassoagg.design import Support, project
 from lassoagg.errors import DegenerateVarianceError
-from lassoagg.path import (SupportFamily, compute_path, grid_support_family,
-                           path_support_family)
+from lassoagg.path import (TIE_TOL, SupportFamily, _next_event, compute_path,
+                           grid_support_family, path_support_family)
 from lassoagg.pipelines import sqrt_lasso_pipeline
 from lassoagg.simulation import generate_instance
 from lassoagg.solvers import (SUPPORT_THRESH, lasso_cd, sqrt_lasso,
@@ -70,13 +71,15 @@ def test_sqrt_lasso_does_not_depend_on_the_path_given(data, factor, max_knots):
     X, y = data
     lam = factor * sqrt_lasso_universal_lambda(*X.shape)
     fits = []
-    for path in (None, compute_path(X, y), compute_path(X, y, max_knots=max_knots)):
+    # no path, the path of (X, y) complete and capped, and the path of another response
+    for path in (None, compute_path(X, y), compute_path(X, y, max_knots=max_knots),
+                 compute_path(X, 2.0 * y)):
         try:
             fits.append(sqrt_lasso(X, y, lam, path=path))
         except DegenerateVarianceError:
             fits.append(None)
     if fits[0] is None:
-        assert fits == [None, None, None]
+        assert fits == [None] * 4
         return
     for fit in fits[1:]:
         assert np.array_equal(fit.beta, fits[0].beta)
@@ -127,6 +130,80 @@ def test_segment_fitted_values_equal_x_beta(data):
         for lam in (seg.hi, 0.5 * (seg.hi + seg.lo), seg.lo):
             err = seg.fit - lam * seg.slope - X @ seg.beta(lam, X.shape[1])
             assert np.linalg.norm(err) <= 1e-11 * scale
+
+
+def _candidate_list_event(u, w, a, b, active, enterable, fired, lam_cur, lambda_floor):
+    """The homotopy's event search as a list of candidates, in the order of
+    the tie rules, kept as the reference for _next_event."""
+    fired = np.zeros(w.size, dtype=bool) if fired is None else fired
+    upper = lam_cur * (1.0 + TIE_TOL)
+    at_knot = lam_cur * (1.0 - TIE_TOL)
+
+    def allowed(lam, ok, fired):
+        return ok & (0.0 < lam) & (lam < upper) & ~((lam >= at_knot) & fired)
+
+    denom = np.stack((1.0 - w, -1.0 - w))     # entry with sign +1, -1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_add = u / denom
+        lam_drop = a / b
+    ok_add = allowed(lam_add, enterable & (np.abs(denom) >= 1e-14), fired)
+    ok_drop = allowed(lam_drop, b != 0.0, fired[active])
+    # row-major order lists every +1 entry before any -1 entry
+    sign_row, add_cols = np.nonzero(ok_add)
+    lams = np.minimum(np.concatenate((lam_add[ok_add], lam_drop[ok_drop])), lam_cur)
+    cols = np.concatenate((add_cols, active[ok_drop]))
+    sgns = np.concatenate((1.0 - 2.0 * sign_row, np.zeros(np.count_nonzero(ok_drop))))
+    keep = lams >= lambda_floor
+    lams, cols, sgns = lams[keep], cols[keep], sgns[keep]
+    if not lams.size:
+        return None
+    tied = lams >= lams.max() * (1.0 - TIE_TOL)
+    ev = int(np.flatnonzero(tied & (cols == cols[tied].min()))[0])
+    return float(lams[ev]), int(cols[ev]), float(sgns[ev]), bool(np.count_nonzero(tied) > 1)
+
+
+# event times in units of lam_cur: ties within TIE_TOL, the tie boundary,
+# times above lam_cur, below the floor and nonpositive
+EVENT_TIMES = [1.0, 1.0 + 5e-11, 1.0 - 5e-11, 1.0 + 2e-10, 1.0 - 2e-10, 0.5,
+               0.5 * (1.0 + 5e-11), 1e-9, 3e-9, 0.0, -0.5, 2.0]
+# w_j = +-1 makes an entry's denominator zero, 1 - 1e-15 makes it too small,
+# and |w_j| = 1e11 makes the +1 and -1 entries of column j tie
+CORRELATION_SLOPES = [0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0, 1e11, -1e11, 1.0 - 1e-15]
+
+
+@st.composite
+def event_searches(draw):
+    p = draw(st.integers(1, 6))
+    k = draw(st.integers(0, p))
+    active = np.array(draw(st.permutations(range(p)))[:k], dtype=np.intp)
+    enterable = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)))
+    enterable[active] = False
+    lam_cur = draw(st.sampled_from([1.0, 0.5]))
+    w = np.array(draw(st.lists(st.sampled_from(CORRELATION_SLOPES) | st.floats(-3.0, 3.0),
+                               min_size=p, max_size=p)))
+    times = lam_cur * np.array(draw(st.lists(st.sampled_from(EVENT_TIMES),
+                                             min_size=p, max_size=p)))
+    u = times * (draw(st.sampled_from([1.0, -1.0])) - w)
+    # b_i = 0 makes a_i / b_i infinite or NaN
+    b = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-300]),
+                               min_size=k, max_size=k)))
+    drop_times = lam_cur * np.array(draw(st.lists(st.sampled_from(EVENT_TIMES),
+                                                  min_size=k, max_size=k)))
+    a = np.where(b != 0.0, drop_times * b,
+                 draw(st.sampled_from([0.0, 1.0, -1.0])))
+    fired = draw(st.none() | st.lists(st.booleans(), min_size=p, max_size=p).map(np.array))
+    lambda_floor = lam_cur * draw(st.sampled_from([0.0, 1e-8, 0.25, 1.0]))
+    return u, w, a, b, active, enterable, fired, lam_cur, lambda_floor
+
+
+@settings(max_examples=1000, deadline=None)
+@given(event_searches())
+def test_event_search_matches_the_candidate_list(args):
+    expected = _candidate_list_event(*args)
+    found = _next_event(*args)
+    assert found == expected
+    if found is not None:
+        assert [type(v) for v in found] == [float, int, float, bool]
 
 
 def _families_with_fits(X, y):

@@ -7,12 +7,13 @@ import pytest
 
 from lassoagg.design import Support
 from lassoagg.errors import InvalidInputError
-from lassoagg.path import SupportFamily
+from lassoagg.path import SupportFamily, compute_path
 from lassoagg.pipelines import path_aggregate
-from lassoagg.simulation import (TrialConfig, _one_blas_thread, _openblas_thread_controls,
-                                 _pin_blas_threads, exhaustive_spa, generate_instance,
-                                 monte_carlo, oi_rhs_crit, run_oracle_trial,
-                                 soi_rhs_supports)
+from lassoagg.simulation import (TrialConfig, _losses_and_sizes, _one_blas_thread,
+                                 _openblas_thread_controls, _pin_blas_threads,
+                                 exhaustive_spa, generate_instance, monte_carlo,
+                                 oi_rhs_crit, run_oracle_trial, soi_rhs_supports)
+from lassoagg.solvers import sqrt_lasso, sqrt_lasso_universal_lambda
 from lassoagg.weights import log_inv_weight
 
 
@@ -129,6 +130,44 @@ def test_trial_sqrt_lasso_sigma_mode():
     assert 0.0 < check.sigma_hat_sq < 10.0
 
 
+def _soi_path_reference(config):
+    """Losses, support sizes, rhs and minimizing term of the soi_path bound,
+    one point at a time."""
+    inst = generate_instance(config.n, config.p, config.s, config.sigma,
+                             design_kind=config.design_kind, seed=config.seed)
+    X, y, mu, n, p = inst.X, inst.y, inst.mu, inst.n, inst.p
+    path = compute_path(X, y)
+    s2 = (config.sigma ** 2 if config.sigma_mode == "known" else
+          sqrt_lasso(X, y, sqrt_lasso_universal_lambda(n, p), path=path).sigma_hat_sq)
+    points = (path.knot_segments()
+              + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
+    losses = [float(np.sum((seg.fit - lam * seg.slope - mu) ** 2)) / n for lam, seg in points]
+    sizes = [seg.support_size(lam) for lam, seg in points]
+    terms = [float(np.sum(mu ** 2)) / n + 24.0 * s2 / n]
+    for loss, k in zip(losses, sizes):
+        terms.append(loss + (s2 / n) * (24.0 + 96.0 * (k * math.log(math.e * p / max(k, 1)))))
+    j = terms.index(min(terms))
+    minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
+    return (points, mu, losses, sizes,
+            terms[j] + 22.0 * config.sigma ** 2 * config.x / n, minimizing)
+
+
+@pytest.mark.parametrize("config", [
+    TrialConfig(n=60, p=90, s=4, seed=3),
+    TrialConfig(n=60, p=90, s=4, seed=5, design_kind="equicorrelated"),
+    TrialConfig(n=40, p=12, s=3, seed=2, sigma_mode="sqrt_lasso"),
+    TrialConfig(n=30, p=10, s=2, sigma=0.0, x=1.0, seed=4),
+    TrialConfig(n=12, p=5, s=0, sigma=0.0, seed=1),     # zero response: an empty path
+], ids=["iid", "equicorrelated", "sqrt-lasso", "noiseless", "zero-response"])
+def test_soi_path_bound_equals_the_per_point_loop(config):
+    points, mu, losses, sizes, rhs, minimizing = _soi_path_reference(config)
+    stacked_losses, stacked_sizes = _losses_and_sizes(points, mu)
+    assert stacked_losses.tolist() == losses
+    assert stacked_sizes.tolist() == sizes
+    check = run_oracle_trial(config)
+    assert (check.rhs, check.minimizing_term) == (rhs, minimizing)
+
+
 def test_exhaustive_spa_p1_matches_two_vertex_problem():
     inst = generate_instance(15, 1, 1, sigma=0.5, seed=12)
     res = exhaustive_spa(inst.X, inst.y, 0.25)
@@ -200,6 +239,7 @@ def test_pool_initializer_pins_each_worker_to_one_blas_thread():
 
 
 def test_serial_replications_run_one_blas_thread_and_restore_the_count():
+    assert _openblas_thread_controls() is _openblas_thread_controls()
     before = _openblas_thread_counts()
     with _one_blas_thread() as pinned:
         assert _openblas_thread_counts() == [1] * pinned
