@@ -15,5 +15,4 @@ from .aggregation import (CritResult, PrecomputedFits, QAggResult, SimplexWeight
 from .pipelines import (PipelineReport, aggregate, aggregate_estimators, geometric_grid,
                         path_aggregate, sqrt_lasso_pipeline)
 from .simulation import (OracleCheck, SimInstance, TrialConfig, exhaustive_spa,
-                         generate_instance, monte_carlo, oi_rhs_crit,
-                         run_oracle_trial, soi_rhs_supports)
+                         generate_instance, monte_carlo, oracle_bound, run_oracle_trial)

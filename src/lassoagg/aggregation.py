@@ -167,8 +167,9 @@ def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float) -> QAggResult:
     smallest objective, so the result never exceeds the best vertex
     objective.  On P the step is d = Z w with Z = [I; -1^T], so sum(d) = 0
     holds exactly, and w minimizes the objective on the face by lstsq on the
-    reduced Hessian Z^T G_PP Z, which may be singular.  When lstsq reports
-    a rank-deficient system whose residual exceeds 1e-8 times the reduced
+    reduced Hessian Z^T G_PP Z, which may be singular; its singular values
+    below 1e-9 times the largest count as zero.  When lstsq reports a
+    rank-deficient system whose residual exceeds 1e-8 times the reduced
     gradient, the residual is a zero-curvature descent ray instead.  A ray,
     or a step that leaves the simplex, stops at the first blocking
     coordinate, which leaves P.  At the face minimizer, the coordinate
@@ -198,7 +199,10 @@ def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float) -> QAggResult:
             Z = np.vstack([np.eye(m - 1), -np.ones((1, m - 1))])
             hess = Z.T @ G[np.ix_(working, working)] @ Z
             red_grad = Z.T @ grad[working]
-            w, _, rank, _ = np.linalg.lstsq(hess, -red_grad, rcond=None)
+            # round-off in G leaves a singular face singular values of a few
+            # eps times the largest; counted as curvature, they make the
+            # Newton step drop the entrant at once, and the method cycles
+            w, _, rank, _ = np.linalg.lstsq(hess, -red_grad, rcond=1e-9)
             resid = hess @ w + red_grad
             ray = (rank < m - 1
                    and np.linalg.norm(resid) > 1e-8 * np.linalg.norm(red_grad))

@@ -258,9 +258,8 @@ def _cmd_path(args):
     path = compute_path(X, y, max_knots=args.max_knots)
     family = path_support_family(path)
     if args.path_csv:
-        rows = [[lam, float(np.sum((y - (seg.fit - lam * seg.slope)) ** 2)) / X.n,
-                 seg.support_size(lam)] for lam, seg in path.knot_segments()]
-        save_matrix_csv(args.path_csv, np.array(rows))
+        losses, sizes = path.losses_and_sizes(path.knot_segments(), y)
+        save_matrix_csv(args.path_csv, np.column_stack((path.knots, losses, sizes)))
     results = {
         "knots": path.knots,
         "supports": path.supports,

@@ -55,10 +55,6 @@ class PathSegment:
             beta[list(self.active)] = self.a - lam * self.b
         return beta
 
-    def support_size(self, lam: float) -> int:
-        """Number of coefficients of beta(lam) above SUPPORT_THRESH in magnitude."""
-        return int(np.count_nonzero(np.abs(self.a - lam * self.b) > SUPPORT_THRESH))
-
 
 @dataclass
 class LassoPath:
@@ -108,6 +104,37 @@ class LassoPath:
         above = PathSegment(hi=np.inf, lo=self.lambda0, active=(), a=np.zeros(0),
                             b=np.zeros(0), fit=zero, slope=zero)
         return list(zip(self.knots.tolist(), [above] + self.segments[:-1]))
+
+    def losses_and_sizes(self, points: Sequence[Tuple[float, PathSegment]],
+                         target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """||X beta(lam) - target||^2 / n and the number of coefficients of
+        beta(lam) above SUPPORT_THRESH in magnitude at each (lam, covering
+        segment) of points, evaluated a block of points at a time."""
+        n = self.design.n
+        # a block's arrays take at most 64 KiB each, below malloc's mmap
+        # threshold, so that peak memory does not grow with the number of points
+        rows = max(1, 8192 // n)
+        losses = np.empty(len(points))
+        sizes = np.empty(len(points), dtype=np.intp)
+        for start in range(0, len(points), rows):
+            block = points[start:start + rows]
+            lams = np.array([lam for lam, _ in block])
+            # X beta(lam) - target = fit - lam * slope - target, squared in place
+            resid = np.array([seg.fit for _, seg in block])
+            step = np.array([seg.slope for _, seg in block])
+            step *= lams[:, None]
+            resid -= step
+            resid -= target
+            resid *= resid
+            losses[start:start + rows] = resid.sum(axis=1)
+            # beta(lam) = a - lam * b on the active set of each point's segment
+            counts = [seg.a.size for _, seg in block]
+            beta = (np.concatenate([seg.a for _, seg in block])
+                    - np.repeat(lams, counts) * np.concatenate([seg.b for _, seg in block]))
+            owner = np.repeat(np.arange(len(block)), counts)
+            sizes[start:start + rows] = np.bincount(owner[np.abs(beta) > SUPPORT_THRESH],
+                                                    minlength=len(block))
+        return losses / n, sizes
 
     def family_fits(self) -> "FamilyFits":
         """The fit of every path support, in order of first appearance."""

@@ -15,7 +15,7 @@ from .aggregation import (CritResult, PrecomputedFits, QAggResult, crit_select, 
                           q_aggregate)
 from .design import Support, as_design, as_response
 from .errors import InvalidInputError
-from .path import SupportFamily, compute_path, path_support_family
+from .path import LassoPath, SupportFamily, compute_path, path_support_family
 from .solvers import (SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda)
 
 
@@ -29,6 +29,7 @@ class PipelineReport:
     grid_meta: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
     fits_converged: bool = True     # every square-root-Lasso fit converged
+    path: Optional[LassoPath] = field(default=None, repr=False)   # the path computed
 
 
 def aggregate(pre: PrecomputedFits, sigma_hat_sq: float,
@@ -99,6 +100,7 @@ def path_aggregate(X, y, sigma_hat_sq: Optional[float] = None, method: str = "q"
         },
         timing={"path_s": t1 - t0, "aggregate_s": t2 - t1},
         fits_converged=fits_converged,
+        path=path,
     )
 
 
@@ -168,4 +170,5 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
         },
         timing={"fits_s": t1 - t0, "aggregate_s": t2 - t1},
         fits_converged=fit_max.converged and all(converged),
+        path=path,
     )

@@ -12,17 +12,17 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-# crit_select is unused here, but perfbench/tracing.py wraps it at this module
+# crit_select, compute_path and sqrt_lasso are unused here, but perfbench/tracing.py wraps them
 from .aggregation import QAggResult, crit_select, precompute, q_aggregate  # noqa: F401
 from .design import DesignMatrix, Support, as_design, project
 from .errors import InvalidInputError
-from .path import SupportFamily, compute_path, path_support_family
-from .pipelines import aggregate
-from .solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
+from .path import SupportFamily, compute_path  # noqa: F401
+from .pipelines import path_aggregate
+from .solvers import sqrt_lasso  # noqa: F401
 
 
 @dataclass
@@ -101,41 +101,20 @@ SOI = (1.0, 24.0, 96.0, 22.0)   # sharp oracle inequality, simplex aggregate
 OI = (3.0, 26.0, 104.0, 28.0)   # oracle inequality, criterion selector
 
 
-def _bound_terms(consts, biases, sizes, sigma_hat_sq: float, n: int, p: int) -> List[float]:
-    """Per-candidate terms of an oracle bound, one per (bias, support size)."""
-    f, c0, c1, _ = consts
-    return [f * bias + (sigma_hat_sq / n) * (c0 + c1 * (k * math.log(math.e * p / max(k, 1))))
-            for bias, k in zip(biases, sizes)]
-
-
-def _rhs_supports(consts, family: SupportFamily, mu, X,
-                  sigma_hat_sq: float, sigma_sq: float, x: float
-                  ) -> Tuple[float, List[float], Support]:
+def oracle_bound(consts, biases, sizes, sigma_hat_sq: float, sigma_sq: float,
+                 x: float, n: int, p: int) -> Tuple[float, int]:
+    """Right-hand side of an oracle inequality with the constants consts
+    (SOI or OI): the smallest candidate term plus tail*sigma_sq*x/n, where
+    candidate j has the bias biases[j] (||P_T mu - mu||^2/n for a support T,
+    or the loss of a fit) and the support size sizes[j].  Returns (value,
+    index of the minimizing candidate)."""
     if not 0 < x < math.inf:
         raise InvalidInputError("x must be positive and finite")
-    X = as_design(X)
-    n = X.n
-    biases = [float(np.sum(project(X, T, mu).residual ** 2)) / n
-              for T in family]
-    terms = _bound_terms(consts, biases, [T.size for T in family], sigma_hat_sq, n, X.p)
+    f, c0, c1, tail = consts
+    terms = [f * bias + (sigma_hat_sq / n) * (c0 + c1 * (k * math.log(math.e * p / max(k, 1))))
+             for bias, k in zip(biases, sizes)]
     j = int(np.argmin(terms))
-    return terms[j] + consts[3] * sigma_sq * x / n, terms, family.supports[j]
-
-
-def soi_rhs_supports(family: SupportFamily, mu, X, sigma_hat_sq: float,
-                     sigma_sq: float, x: float) -> Tuple[float, List[float], Support]:
-    """Right-hand side of the sharp oracle inequality for the simplex
-    aggregate: min over T of bias + (s2/n)(24 + 96|T|log(ep/(|T| v 1)))
-    plus 22*sigma^2*x/n.  Returns (value, per-support terms, argmin)."""
-    return _rhs_supports(SOI, family, mu, X, sigma_hat_sq, sigma_sq, x)
-
-
-def oi_rhs_crit(family: SupportFamily, mu, X, sigma_hat_sq: float,
-                sigma_sq: float, x: float) -> Tuple[float, List[float], Support]:
-    """Right-hand side of the oracle inequality for the criterion selector:
-    min over T of 3*bias + (s2/n)(26 + 104|T|log(ep/(|T| v 1)))
-    plus 28*sigma^2*x/n."""
-    return _rhs_supports(OI, family, mu, X, sigma_hat_sq, sigma_sq, x)
+    return terms[j] + tail * sigma_sq * x / n, j
 
 
 @dataclass
@@ -163,80 +142,43 @@ class TrialConfig:
     rho: float = 0.5
 
 
-def _losses_and_sizes(points, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """||X beta(lam) - mu||^2 / n and the support size of beta(lam) at each
-    (lam, covering segment) of points, evaluated a block of points at a time."""
-    n = mu.size
-    # a block's arrays take at most 64 KiB each, below malloc's mmap
-    # threshold, so that peak memory does not grow with the number of points
-    rows = max(1, 8192 // n)
-    losses = np.empty(len(points))
-    sizes = np.empty(len(points), dtype=np.intp)
-    for start in range(0, len(points), rows):
-        block = points[start:start + rows]
-        lams = np.array([lam for lam, _ in block])
-        # X beta(lam) - mu = fit - lam * slope - mu, squared in place
-        resid = np.array([seg.fit for _, seg in block])
-        step = np.array([seg.slope for _, seg in block])
-        step *= lams[:, None]
-        resid -= step
-        resid -= mu
-        resid *= resid
-        losses[start:start + rows] = resid.sum(axis=1)
-        # beta(lam) = a - lam * b on the active set of each point's segment
-        counts = [seg.a.size for _, seg in block]
-        beta = (np.concatenate([seg.a for _, seg in block])
-                - np.repeat(lams, counts) * np.concatenate([seg.b for _, seg in block]))
-        owner = np.repeat(np.arange(len(block)), counts)
-        sizes[start:start + rows] = np.bincount(owner[np.abs(beta) > SUPPORT_THRESH],
-                                                minlength=len(block))
-    return losses / n, sizes
-
-
 def run_oracle_trial(config: TrialConfig) -> OracleCheck:
-    """One replication: generate data, run the path pipeline, compare the
-    realized loss with the matching oracle-inequality bound."""
-    if not 0 < config.x < math.inf:
-        raise InvalidInputError("x must be positive and finite")
-    inst = generate_instance(config.n, config.p, config.s, config.sigma,
-                             design_kind=config.design_kind, seed=config.seed,
-                             rho=config.rho)
-    X, y, mu = inst.X, inst.y, inst.mu
-    n, p = X.n, X.p
-
-    path = compute_path(X, y)
-    if config.sigma_mode == "known":
-        sigma_hat_sq = config.sigma ** 2
-    elif config.sigma_mode == "sqrt_lasso":
-        sigma_hat_sq = sqrt_lasso(X, y, sqrt_lasso_universal_lambda(n, p),
-                                  path=path).sigma_hat_sq
-    else:
+    """One replication, with one BLAS thread: generate data, aggregate the
+    supports of its Lasso path, compare the realized loss with the matching
+    oracle-inequality bound."""
+    if config.sigma_mode not in ("known", "sqrt_lasso"):
         raise InvalidInputError(f"unknown sigma mode {config.sigma_mode!r}")
+    with _one_blas_thread():
+        inst = generate_instance(config.n, config.p, config.s, config.sigma,
+                                 design_kind=config.design_kind, seed=config.seed,
+                                 rho=config.rho)
+        X, mu = inst.X, inst.mu
+        n, p = X.n, X.p
+        sigma_sq = config.sigma ** 2
+        report = path_aggregate(X, inst.y, sigma_sq if config.sigma_mode == "known" else None,
+                                method=config.method)
+        sigma_hat_sq = report.sigma_hat_sq
+        lhs = float(np.sum((report.result.mu_hat - mu) ** 2)) / n
 
-    family = path_support_family(path)
-    mu_hat = aggregate(precompute(X, y, family), sigma_hat_sq, config.method).mu_hat
-    lhs = float(np.sum((mu_hat - mu) ** 2)) / n
-
-    sigma_sq = config.sigma ** 2
-    if config.bound == "soi_path":
-        # min over lambda approximated at knots and segment midpoints, each
-        # read off the segment that covers it
-        points = (path.knot_segments()
-                  + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
-        losses, sizes = _losses_and_sizes(points, mu)
-        # lambda above lambda_0, where beta = 0; this term keeps its own
-        # 24*s2/n, which rounds differently from the (s2/n)*24 of the loop
-        terms = ([float(np.sum(mu ** 2)) / n + SOI[1] * sigma_hat_sq / n]
-                 + _bound_terms(SOI, losses.tolist(), sizes.tolist(), sigma_hat_sq, n, p))
-        j = int(np.argmin(terms))
-        rhs = terms[j] + SOI[3] * sigma_sq * config.x / n
-        minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
-    elif config.bound in ("soi_supports", "oi_supports"):
-        consts = SOI if config.bound == "soi_supports" else OI
-        rhs, _, T = _rhs_supports(consts, family, mu, X, sigma_hat_sq, sigma_sq, config.x)
-        minimizing = f"T={T.one_based()}"
-    else:
-        raise InvalidInputError(f"unknown bound {config.bound!r}")
+        if config.bound == "soi_path":
+            # min over lambda: beta = 0 for lambda >= lambda_0, then the knots
+            # below lambda_0 and the segment midpoints, each read off the
+            # segment that covers it
+            path = report.path
+            points = (path.knot_segments()[1:]
+                      + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
+            losses, sizes = path.losses_and_sizes(points, mu)
+            rhs, j = oracle_bound(SOI, [float(np.sum(mu ** 2)) / n] + losses.tolist(),
+                                  [0] + sizes.tolist(), sigma_hat_sq, sigma_sq, config.x, n, p)
+            minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
+        elif config.bound in ("soi_supports", "oi_supports"):
+            family = report.family
+            biases = [float(np.sum(project(X, T, mu).residual ** 2)) / n for T in family]
+            rhs, j = oracle_bound(SOI if config.bound == "soi_supports" else OI, biases,
+                                  [T.size for T in family], sigma_hat_sq, sigma_sq, config.x, n, p)
+            minimizing = f"T={family.supports[j].one_based()}"
+        else:
+            raise InvalidInputError(f"unknown bound {config.bound!r}")
 
     return OracleCheck(lhs=lhs, rhs=rhs, x_level=config.x, held=lhs <= rhs,
                        minimizing_term=minimizing, sigma_hat_sq=sigma_hat_sq)
@@ -283,13 +225,6 @@ def _openblas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-def _pin_blas_threads() -> None:
-    """Pool initializer: one BLAS thread in this worker process; does
-    nothing where no OpenBLAS library is found."""
-    for _, set_threads in _openblas_thread_controls():
-        set_threads(1)
-
-
 @contextmanager
 def _one_blas_thread():
     """One BLAS thread in this process for the duration of the block, the
@@ -309,24 +244,22 @@ def _one_blas_thread():
 def monte_carlo(config: TrialConfig, reps: int, parallelism: int = 1) -> dict:
     """Run seeded replications of run_oracle_trial and aggregate coverage.
 
-    Replication i uses seed config.seed + i.  Every replication runs with
-    one BLAS thread, in the worker processes for parallelism > 1 and in
-    this process otherwise, so that workers do not oversubscribe the cores
-    and the report is identical for any parallelism level;
+    Replication i uses seed config.seed + i, in worker processes for
+    parallelism > 1 and in this process otherwise.  Every replication runs
+    with one BLAS thread, so that workers do not oversubscribe the cores and
+    the report is identical for any parallelism level;
     "pinned_blas_libraries" counts the OpenBLAS libraries so pinned.
     """
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
     configs = [dataclasses.replace(config, seed=config.seed + i) for i in range(reps)]
+    # forked workers map the same libraries as this process
+    pinned = len(_openblas_thread_controls())
     if parallelism > 1:
-        # forked workers map the same libraries as this process
-        pinned = len(_openblas_thread_controls())
-        with ProcessPoolExecutor(max_workers=parallelism,
-                                 initializer=_pin_blas_threads) as pool:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
             checks = list(pool.map(run_oracle_trial, configs, chunksize=max(1, reps // (4 * parallelism))))
     else:
-        with _one_blas_thread() as pinned:
-            checks = [run_oracle_trial(c) for c in configs]
+        checks = [run_oracle_trial(c) for c in configs]
 
     lhs = [c.lhs for c in checks]
     rhs = [c.rhs for c in checks]

@@ -18,6 +18,19 @@ def make_family(*index_tuples, include_empty=False):
                                        include_empty=include_empty)
 
 
+def simplex_grid_min(pre, s2, step=1e-3):
+    """The point of the simplex grid {(t1, t2, 1 - t1 - t2)} with the given
+    step that has the smallest Q-aggregation objective, found in one
+    vectorised pass, and q_objective there."""
+    t1 = np.arange(0.0, 1.0 + step / 2, step)
+    t2 = [np.arange(0.0, 1.0 - t + step / 2, step) for t in t1]
+    T1, T2 = np.repeat(t1, [t.size for t in t2]), np.concatenate(t2)
+    theta = np.column_stack((T1, T2, 1.0 - T1 - T2))
+    c = -2.0 * pre.y_dot + 0.5 * pre.fit_norms_sq + 26.0 * s2 * pre.log_inv_weights
+    values = 0.5 * np.einsum("ij,jk,ik->i", theta, pre.gram, theta) + theta @ c
+    return q_objective(theta[np.argmin(values)], pre, s2)
+
+
 def test_precompute_empty_family_only():
     X = DesignMatrix(np.ones((4, 2)))
     y = np.arange(4.0)
@@ -192,11 +205,7 @@ def test_q_aggregate_three_atoms_vs_dense_grid():
     s2 = 0.2
     res = q_aggregate(pre, s2)
     assert res.converged and res.fw_gap <= 1e-10
-    best = math.inf
-    step = 1e-3
-    for t1 in np.arange(0.0, 1.0 + step / 2, step):
-        for t2 in np.arange(0.0, 1.0 - t1 + step / 2, step):
-            best = min(best, q_objective(np.array([t1, t2, 1.0 - t1 - t2]), pre, s2))
+    best = simplex_grid_min(pre, s2)
     assert res.objective <= best + 1e-10
     assert abs(res.objective - best) <= 1e-6
 

@@ -167,10 +167,26 @@ def test_path_csv_support_size_uses_threshold(tmp_path):
     assert main(["path", "--x", xpath, "--y", ypath, "--path-csv", pcsv,
                  "--out", str(tmp_path / "r.json")]) == 0
     rows = load_matrix_csv(pcsv).entries
-    path = compute_path(load_matrix_csv(xpath), load_vector_csv(ypath))
+    y = load_vector_csv(ypath)
+    path = compute_path(load_matrix_csv(xpath), y)
     sizes = [int(np.sum(np.abs(path.beta_at(float(lam))) > SUPPORT_THRESH))
              for lam in path.knots]
     assert rows[:, 2].tolist() == sizes
+    losses = [float(np.sum((y - (seg.fit - lam * seg.slope)) ** 2)) / y.size
+              for lam, seg in path.knot_segments()]
+    assert rows[:, 1].tolist() == losses
+    assert rows[:, 0].tolist() == path.knots.tolist()
+
+
+def test_path_csv_of_a_zero_response_is_empty(tmp_path):
+    # an empty path has no knot, so the file has no row
+    xpath, ypath, pcsv = (str(tmp_path / f) for f in ("x.csv", "y.csv", "path.csv"))
+    save_matrix_csv(xpath, np.arange(12.0).reshape(4, 3))
+    save_matrix_csv(ypath, np.zeros((4, 1)))
+    assert main(["path", "--x", xpath, "--y", ypath, "--path-csv", pcsv,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    with open(pcsv, "rb") as fh:
+        assert fh.read() == b""
 
 
 @pytest.mark.parametrize("module, command, stalled_call", [

@@ -239,36 +239,54 @@ def test_path_family_fits_equal_qr_projections(data):
             assert np.linalg.norm(fitted[:, j] - ref) <= 1e-12 * scale
 
 
-@st.composite
-def rank_deficient_fits(draw):
-    """Fits F (n x M, n < M) with duplicated and affinely dependent columns,
-    nonnegative log-weights and a variance in [0, 1]."""
-    n = draw(st.integers(1, 8))
-    M = draw(st.integers(n + 1, 24))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    scale = draw(st.sampled_from([1e-2, 1.0, 1e2]))
+def rank_deficient_qp(n, M, seed, scale, kinds):
+    """Precomputed fits F (n x M) at the given scale, drawn from seed, whose
+    column t is a fresh column, a duplicate or an affine combination of two
+    others as kinds[t] says, with nonnegative log-weights."""
+    rng = np.random.default_rng(seed)
     F = scale * rng.standard_normal((n, M))
     for t in range(M):
         a, b = rng.integers(M, size=2)
-        kind = draw(st.sampled_from(["free", "duplicate", "affine"]))
-        if kind == "duplicate":
+        if kinds[t] == "duplicate":
             F[:, t] = F[:, a]
-        elif kind == "affine":
+        elif kinds[t] == "affine":
             lam = rng.uniform(-1.0, 2.0)
             F[:, t] = lam * F[:, a] + (1.0 - lam) * F[:, b]
     y = scale * rng.standard_normal(n)
     G = F.T @ F
     family = SupportFamily.from_supports([Support((j,)) for j in range(M)],
                                          include_empty=False)
-    pre = PrecomputedFits(family=family, fitted_vectors=F, gram=G, y_dot=F.T @ y,
-                          fit_norms_sq=np.diag(G).copy(),
-                          log_inv_weights=rng.uniform(0.0, 10.0, M),
-                          y_norm_sq=float(y @ y), n=n, p=M)
-    return pre, draw(st.floats(0.0, 1.0))
+    return PrecomputedFits(family=family, fitted_vectors=F, gram=G, y_dot=F.T @ y,
+                           fit_norms_sq=np.diag(G).copy(),
+                           log_inv_weights=rng.uniform(0.0, 10.0, M),
+                           y_norm_sq=float(y @ y), n=n, p=M)
 
 
+@st.composite
+def rank_deficient_fits(draw):
+    """Fits F (n x M, n < M) with duplicated and affinely dependent columns,
+    nonnegative log-weights and a variance in [0, 1]."""
+    n = draw(st.integers(1, 8))
+    M = draw(st.integers(n + 1, 24))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scale = draw(st.sampled_from([1e-2, 1.0, 1e2]))
+    kinds = [draw(st.sampled_from(["free", "duplicate", "affine"])) for _ in range(M)]
+    return rank_deficient_qp(n, M, seed, scale, kinds), draw(st.floats(0.0, 1.0))
+
+
+# Rank-one Gram matrices on which the active-set method cycled until it hit
+# its bound, while lstsq counted the round-off singular values (a few eps of
+# the largest) of a 2 x 2 reduced Hessian as curvature.
 @settings(max_examples=300, deadline=None)
 @given(rank_deficient_fits())
+@example((rank_deficient_qp(1, 23, 727222943, 1e-2, [
+    "affine", "duplicate", "duplicate", "duplicate", "affine", "affine", "free", "duplicate",
+    "duplicate", "affine", "free", "free", "free", "free", "free", "affine", "free", "affine",
+    "affine", "affine", "duplicate", "free", "affine"]), 1e-7))
+@example((rank_deficient_qp(1, 20, 20, 1e2, [
+    "free", "free", "affine", "free", "free", "free", "free", "affine", "affine", "affine",
+    "affine", "free", "free", "affine", "affine", "free", "free", "free", "affine", "affine"]),
+    1.0))
 def test_q_aggregate_solves_rank_deficient_qps(data):
     pre, s2 = data
     res = q_aggregate(pre, s2)

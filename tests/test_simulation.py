@@ -5,15 +5,15 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from lassoagg.design import Support
+import lassoagg.simulation
+from lassoagg.design import Support, project
 from lassoagg.errors import InvalidInputError
-from lassoagg.path import SupportFamily, compute_path
+from lassoagg.path import compute_path
 from lassoagg.pipelines import path_aggregate
-from lassoagg.simulation import (TrialConfig, _losses_and_sizes, _one_blas_thread,
-                                 _openblas_thread_controls, _pin_blas_threads,
-                                 exhaustive_spa, generate_instance, monte_carlo,
-                                 oi_rhs_crit, run_oracle_trial, soi_rhs_supports)
-from lassoagg.solvers import sqrt_lasso, sqrt_lasso_universal_lambda
+from lassoagg.simulation import (OI, SOI, TrialConfig, _one_blas_thread,
+                                 _openblas_thread_controls, exhaustive_spa, generate_instance,
+                                 monte_carlo, oracle_bound, run_oracle_trial)
+from lassoagg.solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
 from lassoagg.weights import log_inv_weight
 
 
@@ -74,35 +74,43 @@ def test_generate_instance_invalid_args():
             generate_instance(10, 4, 1, sigma)
 
 
+def _biases(X, supports, mu):
+    """||P_T mu - mu||^2 / n of each support T."""
+    return [float(np.sum(project(X, T, mu).residual ** 2)) / X.n for T in supports]
+
+
 def test_soi_rhs_empty_support_hand_formula():
     # family = {empty}, mu = 0: rhs = 24*s2/n + 22*sigma^2*x/n
     inst = generate_instance(10, 4, 0, sigma=1.0, seed=7)
-    fam = SupportFamily.from_supports([Support(())])
-    rhs, terms, T = soi_rhs_supports(fam, np.zeros(10), inst.X, 0.5, 1.0, 3.0)
-    assert T == Support(())
-    assert terms == pytest.approx([24.0 * 0.5 / 10], rel=1e-12)
+    biases = _biases(inst.X, [Support(())], np.zeros(10))
+    rhs, j = oracle_bound(SOI, biases, [0], 0.5, 1.0, 3.0, 10, 4)
+    assert j == 0
     assert rhs == pytest.approx(24.0 * 0.5 / 10 + 22.0 * 3.0 / 10, rel=1e-12)
 
 
 def test_oi_rhs_hand_formula_with_bias():
     inst = generate_instance(10, 4, 0, sigma=1.0, seed=8)
     mu = inst.X.entries[:, 0] * 2.0  # exactly fit by T = {0}
-    fam = SupportFamily.from_supports([Support(()), Support((0,))])
-    rhs, terms, T = oi_rhs_crit(fam, mu, inst.X, 1.0, 1.0, 2.0)
+    supports = [Support(()), Support((0,))]
+    biases = _biases(inst.X, supports, mu)
     n, p = 10, 4
     t_empty = 3.0 * float(mu @ mu) / n + 26.0 / n
     t_zero = 0.0 + (26.0 + 104.0 * math.log(math.e * p)) / n
-    assert terms == pytest.approx([t_empty, t_zero], rel=1e-10)
-    assert T == fam.supports[int(np.argmin([t_empty, t_zero]))]
+    # each candidate alone: its own term plus the tail
+    for T, bias, term in zip(supports, biases, [t_empty, t_zero]):
+        assert oracle_bound(OI, [bias], [T.size], 1.0, 1.0, 2.0, n, p) == (
+            pytest.approx(term + 28.0 * 2.0 / n, rel=1e-10), 0)
+    rhs, j = oracle_bound(OI, biases, [T.size for T in supports], 1.0, 1.0, 2.0, n, p)
+    assert j == int(np.argmin([t_empty, t_zero]))
     assert rhs == pytest.approx(min(t_empty, t_zero) + 28.0 * 2.0 / n, rel=1e-10)
 
 
 def test_rhs_requires_positive_x():
     inst = generate_instance(6, 3, 0, 1.0, seed=1)
-    fam = SupportFamily.from_supports([Support(())])
+    biases = _biases(inst.X, [Support(())], np.zeros(6))
     for x in (0.0, math.nan, math.inf):
         with pytest.raises(InvalidInputError):
-            soi_rhs_supports(fam, np.zeros(6), inst.X, 1.0, 1.0, x)
+            oracle_bound(SOI, biases, [0], 1.0, 1.0, x, 6, 3)
 
 
 def test_noiseless_trial_holds():
@@ -142,13 +150,14 @@ def _soi_path_reference(config):
     points = (path.knot_segments()
               + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
     losses = [float(np.sum((seg.fit - lam * seg.slope - mu) ** 2)) / n for lam, seg in points]
-    sizes = [seg.support_size(lam) for lam, seg in points]
-    terms = [float(np.sum(mu ** 2)) / n + 24.0 * s2 / n]
+    sizes = [int(np.count_nonzero(np.abs(seg.a - lam * seg.b) > SUPPORT_THRESH))
+             for lam, seg in points]
+    terms = [float(np.sum(mu ** 2)) / n + (s2 / n) * 24.0]
     for loss, k in zip(losses, sizes):
         terms.append(loss + (s2 / n) * (24.0 + 96.0 * (k * math.log(math.e * p / max(k, 1)))))
     j = terms.index(min(terms))
     minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
-    return (points, mu, losses, sizes,
+    return (path, points, mu, losses, sizes,
             terms[j] + 22.0 * config.sigma ** 2 * config.x / n, minimizing)
 
 
@@ -160,8 +169,8 @@ def _soi_path_reference(config):
     TrialConfig(n=12, p=5, s=0, sigma=0.0, seed=1),     # zero response: an empty path
 ], ids=["iid", "equicorrelated", "sqrt-lasso", "noiseless", "zero-response"])
 def test_soi_path_bound_equals_the_per_point_loop(config):
-    points, mu, losses, sizes, rhs, minimizing = _soi_path_reference(config)
-    stacked_losses, stacked_sizes = _losses_and_sizes(points, mu)
+    path, points, mu, losses, sizes, rhs, minimizing = _soi_path_reference(config)
+    stacked_losses, stacked_sizes = path.losses_and_sizes(points, mu)
     assert stacked_losses.tolist() == losses
     assert stacked_sizes.tolist() == sizes
     check = run_oracle_trial(config)
@@ -231,11 +240,29 @@ def _openblas_thread_counts():
     return counts
 
 
-def test_pool_initializer_pins_each_worker_to_one_blas_thread():
-    with ProcessPoolExecutor(max_workers=1, initializer=_pin_blas_threads) as pool:
-        counts = pool.submit(_openblas_thread_counts).result()
-    assert len(counts) == len(_openblas_thread_controls())
-    assert counts == [1] * len(counts)
+def _counts_during_and_after_a_trial():
+    """The OpenBLAS thread counts of this process while a replication runs
+    (seen as it generates its instance) and after it has run."""
+    seen = []
+    original = lassoagg.simulation.generate_instance
+
+    def spy(*args, **kwargs):
+        seen.append(_openblas_thread_counts())
+        return original(*args, **kwargs)
+
+    lassoagg.simulation.generate_instance = spy
+    try:
+        run_oracle_trial(TrialConfig(n=20, p=6, s=1, sigma=0.5, seed=3))
+    finally:
+        lassoagg.simulation.generate_instance = original
+    return seen, _openblas_thread_counts()
+
+
+def test_replications_in_workers_run_one_blas_thread():
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        seen, _ = pool.submit(_counts_during_and_after_a_trial).result()
+    assert len(seen) == 1 and len(seen[0]) == len(_openblas_thread_controls())
+    assert seen[0] == [1] * len(seen[0])
 
 
 def test_serial_replications_run_one_blas_thread_and_restore_the_count():
@@ -245,6 +272,9 @@ def test_serial_replications_run_one_blas_thread_and_restore_the_count():
         assert _openblas_thread_counts() == [1] * pinned
     assert pinned == len(before)
     assert _openblas_thread_counts() == before
+    seen, after = _counts_during_and_after_a_trial()
+    assert seen == [[1] * pinned]
+    assert after == before
 
 
 def test_monte_carlo_rejects_zero_reps():
