@@ -13,8 +13,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -25,7 +27,8 @@ from .design import DesignMatrix, Support
 from .errors import DegenerateVarianceError, InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
 from .pipelines import PipelineReport, path_aggregate, sqrt_lasso_pipeline
-from .simulation import TrialConfig, monte_carlo
+from .simulation import (TrialConfig, _one_blas_thread, _openblas_thread_controls, monte_carlo,
+                         worker_processes)
 # sqrt_lasso is unused here, but perfbench/tracing.py wraps it at this module
 from .solvers import sqrt_lasso  # noqa: F401
 from .weights import total_mass, verify_weight_bounds, weight_table
@@ -43,6 +46,9 @@ class OutputError(InvalidInputError):
 
 def load_matrix_csv(path: str, header: bool = False) -> DesignMatrix:
     """Load an RFC-4180 CSV (no header by default) as a design matrix."""
+    cells = _read_finite_cells(path, header)
+    if cells is not None:
+        return DesignMatrix(cells)
     rows = _load_rows(path, header)
     width = len(rows[0][1])
     for lineno, row in rows:
@@ -52,6 +58,9 @@ def load_matrix_csv(path: str, header: bool = False) -> DesignMatrix:
 
 
 def load_vector_csv(path: str, header: bool = False) -> np.ndarray:
+    cells = _read_finite_cells(path, header)
+    if cells is not None and cells.shape[1] == 1:
+        return cells.reshape(-1)
     rows = _load_rows(path, header)
     values = []
     for lineno, row in rows:
@@ -59,6 +68,28 @@ def load_vector_csv(path: str, header: bool = False) -> np.ndarray:
             raise ParseError(f"{path}:{lineno}: expected a single column, got {len(row)}")
         values.append(row[0])
     return np.array(values)
+
+
+def _read_finite_cells(path, header):
+    """The cells of a CSV as a 2-D array, read by numpy's C parser, or None
+    unless the file parses there to a nonempty table of finite values.  That
+    parser converts a cell as Python's float does, but rejects some spellings
+    float accepts (underscores, non-ASCII digits), so on None the Python
+    reader (_load_rows) reads the file and alone decides every error.  A
+    pipe cannot be read twice, so only regular files are read here."""
+    if not os.path.isfile(path):
+        return None
+    try:
+        # a file object, not the path, which numpy would decompress or fetch
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # "input contained no data"
+            if header:
+                # the header is one record, which quotes can spread over lines
+                next(csv.reader(fh), None)
+            cells = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error):
+        return None
+    return cells if cells.size and np.isfinite(cells).all() else None
 
 
 def _load_rows(path, header):
@@ -164,6 +195,7 @@ def write_report(config: dict, results: dict, environment_extra: Optional[dict],
             "version": __version__,
             "numpy": np.__version__,
             "timestamp": time.time(),
+            "pinned_blas_libraries": len(_openblas_thread_controls()),
             **(environment_extra or {}),
         },
     }
@@ -322,9 +354,8 @@ def _cmd_simulate(args):
                          x=args.x_level, method=args.method, bound=args.bound,
                          sigma_mode=args.sigma_mode, seed=args.seed,
                          design_kind=args.design, rho=args.rho)
-    report = monte_carlo(config, reps=args.reps, parallelism=max(1, args.threads))
+    report = monte_carlo(config, reps=args.reps, parallelism=args.threads)
     checks = report.pop("checks")
-    pinned = report.pop("pinned_blas_libraries")
     results = dict(report)
     results["lhs"] = [c.lhs for c in checks]
     results["rhs"] = [c.rhs for c in checks]
@@ -333,8 +364,9 @@ def _cmd_simulate(args):
                    "seed": args.seed, "method": args.method, "bound": args.bound,
                    "sigma_mode": args.sigma_mode, "design": args.design,
                    "rho": args.rho}
-    write_report(config_echo, results,
-                 {"threads": args.threads, "pinned_blas_libraries": pinned}, args.out)
+    environment = {"threads": args.threads,
+                   "worker_processes": worker_processes(args.threads, args.reps)}
+    write_report(config_echo, results, environment, args.out)
     return 0
 
 
@@ -362,7 +394,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # numpy and scipy each bundle an OpenBLAS, whose thread pools contend
+        # for the cores when the homotopy alternates calls between them
+        with _one_blas_thread():
+            return _COMMANDS[args.command](args)
     except (InvalidInputError, DegenerateVarianceError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

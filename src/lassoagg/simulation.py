@@ -8,6 +8,7 @@ import ctypes
 import dataclasses
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -241,23 +242,36 @@ def _one_blas_thread():
             set_threads(count)
 
 
+def worker_processes(parallelism: int, reps: int) -> int:
+    """The number of worker processes monte_carlo starts: one per
+    replication, but no more than parallelism and the CPUs this process may
+    use; 0, the replications running in this process, when that is 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # not on Linux
+        cpus = os.cpu_count() or 1
+    count = min(parallelism, reps, cpus)
+    return count if count > 1 else 0
+
+
 def monte_carlo(config: TrialConfig, reps: int, parallelism: int = 1) -> dict:
     """Run seeded replications of run_oracle_trial and aggregate coverage.
 
-    Replication i uses seed config.seed + i, in worker processes for
-    parallelism > 1 and in this process otherwise.  Every replication runs
-    with one BLAS thread, so that workers do not oversubscribe the cores and
-    the report is identical for any parallelism level;
-    "pinned_blas_libraries" counts the OpenBLAS libraries so pinned.
+    Replication i uses seed config.seed + i, in worker_processes(parallelism,
+    reps) worker processes, or in this process when that is 0.  Every
+    replication runs with one BLAS thread, so that workers do not
+    oversubscribe the cores and the report is identical for any parallelism
+    level.
     """
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
+    if parallelism < 1:
+        raise InvalidInputError("parallelism (--threads) must be >= 1")
     configs = [dataclasses.replace(config, seed=config.seed + i) for i in range(reps)]
-    # forked workers map the same libraries as this process
-    pinned = len(_openblas_thread_controls())
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            checks = list(pool.map(run_oracle_trial, configs, chunksize=max(1, reps // (4 * parallelism))))
+    workers = worker_processes(parallelism, reps)
+    if workers:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            checks = list(pool.map(run_oracle_trial, configs, chunksize=max(1, reps // (4 * workers))))
     else:
         checks = [run_oracle_trial(c) for c in configs]
 
@@ -274,5 +288,4 @@ def monte_carlo(config: TrialConfig, reps: int, parallelism: int = 1) -> dict:
         "rhs_quantiles": {str(q): float(np.quantile(rhs, q)) for q in qs},
         "x_level": config.x,
         "checks": checks,
-        "pinned_blas_libraries": pinned,
     }

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import lassoagg.simulation
 from lassoagg.cli import (ParseError, canonical_json, load_matrix_csv,
                           load_vector_csv, main, save_matrix_csv)
 from lassoagg.path import compute_path
-from lassoagg.simulation import generate_instance
+from lassoagg.simulation import _one_blas_thread, _openblas_thread_controls, generate_instance
 from lassoagg.solvers import SUPPORT_THRESH
+from test_simulation import _openblas_thread_counts
 
 
 @pytest.fixture
@@ -77,6 +79,19 @@ def test_csv_errors_carry_line_numbers(tmp_path):
 
     with pytest.raises(ParseError, match="cannot open"):
         load_vector_csv(str(tmp_path / "missing.csv"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_csv_from_a_pipe_is_read_once(tmp_path):
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"1.0\nx\n")
+    os.close(write_end)
+    try:
+        with pytest.raises(ParseError) as exc:
+            load_vector_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert str(exc.value) == f"/dev/fd/{read_end}:2: non-numeric cell in column 1: 'x'"
 
 
 def test_save_matrix_csv_golden_bytes(tmp_path):
@@ -299,7 +314,6 @@ def test_simulate_command_and_thread_invariance(tmp_path):
 
 
 def test_simulate_results_do_not_depend_on_pinned_workers(tmp_path):
-    from lassoagg.simulation import _openblas_thread_controls
     # replication 107 comes out differently with one and two BLAS threads
     args = ["simulate", "--n", "100", "--p", "200", "--s", "5", "--sigma", "1",
             "--reps", "2", "--seed", "106"]
@@ -418,3 +432,86 @@ def test_simulate_rejects_sigma_whose_square_overflows(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InvalidInputError"
     assert "finite square" in err["message"]
+
+
+def test_empty_csv_gives_the_parse_error_and_no_warning(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["path", "--x", str(empty), "--y", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [json.dumps({"error": "ParseError",
+                                            "message": f"{empty}: empty file"})]
+
+
+def test_commands_run_one_blas_thread_and_restore_the_count(tmp_path, data_files, monkeypatch,
+                                                           capsys):
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library found")
+    xpath, ypath, *_ = data_files
+    seen = []
+    real = lassoagg.cli.path_aggregate
+
+    def spy(*args, **kwargs):
+        seen.append(_openblas_thread_counts())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lassoagg.cli, "path_aggregate", spy)
+    argv = ["aggregate", "--x", xpath, "--y", ypath, "--out", str(tmp_path / "r.json")]
+    with _one_blas_thread():    # restores the previous counts on exit
+        for _, set_threads in controls:
+            set_threads(2)
+        assert main(argv + ["--sigma", "1"]) == 0
+        assert _openblas_thread_counts() == [2] * len(controls)
+        assert main(argv + ["--sigma", "-1"]) == 2
+        assert _openblas_thread_counts() == [2] * len(controls)
+    assert seen == [[1] * len(controls)]
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["environment"]["pinned_blas_libraries"] == len(controls)
+
+
+class _PoolSpy:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    replications in this process."""
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+SIMULATE = ["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "0.5"]
+
+
+@pytest.mark.parametrize("threads, reps, cpus, workers", [
+    (64, 2, 64, 2), (8, 5, 3, 3), (2, 5, 8, 2), (1, 5, 8, 0), (4, 1, 8, 0), (4, 3, 1, 0)])
+def test_simulate_starts_one_worker_per_replication_and_cpu_at_most(
+        tmp_path, monkeypatch, threads, reps, cpus, workers):
+    monkeypatch.setattr(_PoolSpy, "started", [])
+    monkeypatch.setattr(lassoagg.simulation, "ProcessPoolExecutor", _PoolSpy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    out = tmp_path / "s.json"
+    assert main(SIMULATE + ["--threads", str(threads), "--reps", str(reps),
+                            "--out", str(out)]) == 0
+    assert _PoolSpy.started == ([workers] if workers else [])
+    report = json.loads(out.read_text())
+    assert report["environment"]["worker_processes"] == workers
+    assert report["environment"]["threads"] == threads
+    assert len(report["results"]["lhs"]) == reps
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_thread(monkeypatch, capsys, threads):
+    monkeypatch.setattr(_PoolSpy, "started", [])
+    monkeypatch.setattr(lassoagg.simulation, "ProcessPoolExecutor", _PoolSpy)
+    assert main(SIMULATE + ["--threads", threads, "--reps", "2"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+    assert _PoolSpy.started == []

@@ -3,20 +3,24 @@ fitted values and the least-squares fits that path and grid families carry,
 all read off the Lasso path, checked against their optimality conditions,
 the coordinate-descent reference, X beta and the pivoted-QR projection; the
 homotopy's event search, checked against its candidate-list form; the
-Q-aggregation QP, checked against its Frank-Wolfe gap and every vertex; and
-the CLI's CSV round trip."""
+Q-aggregation QP, checked against its Frank-Wolfe gap and every vertex; the
+CLI's CSV round trip; and the CLI's CSV loaders, checked against their
+Python reader alone."""
 
 import math
 import os
 import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lassoagg.cli
 from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
-from lassoagg.cli import load_matrix_csv, save_matrix_csv
+from lassoagg.cli import load_matrix_csv, load_vector_csv, save_matrix_csv
 from lassoagg.design import Support, project
 from lassoagg.errors import DegenerateVarianceError
 from lassoagg.path import (TIE_TOL, SupportFamily, _next_event, compute_path,
@@ -314,3 +318,81 @@ def test_csv_round_trip_is_bitwise(M):
         back = load_matrix_csv(path).entries
     assert back.shape == M.shape
     assert back.tobytes() == M.tobytes()
+
+
+# Characters of free-form cells: number syntax, padding (including whitespace
+# that only Python's str.isspace knows), quotes and an Arabic-Indic digit one.
+CELL_CHARS = "0123456789+-.eE_naifty \t\x0b\xa0\u2003\"\u0661"
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of mostly numeric rows of one width, with ragged, blank and
+    whitespace-only rows, mixed line ends, and an optional header and BOM;
+    every cell of about half the texts is a finite number."""
+    width = draw(st.integers(1, 4))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-10 ** 6, 10 ** 6).map(str))
+    cell = number if draw(st.booleans()) else st.one_of(
+        number,
+        st.floats().map(repr),
+        st.sampled_from(["nan", "inf", "-Infinity", "1_0", "\u0661", "1e400", " 3 ",
+                         "\t-4\t", "", '""', '"1\n"', '"7"8', '"1""2"']),
+        st.text(CELL_CHARS, max_size=6),
+    )
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["cells"] * 12 + ["ragged", "blank", "space"]),
+                              max_size=6)):
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \t "])))
+        else:
+            count = width if kind == "cells" else draw(st.integers(1, width + 1))
+            cells = [draw(cell) for _ in range(count)]
+            cells = [f'"{c}"' if draw(st.integers(0, 4)) == 0 else c for c in cells]
+            lines.append(",".join(cells))
+    header = draw(st.sampled_from([None] * 6 + ["x,y", '"a\nb",c', '"h\n1\n"', "1,2", "",
+                                                '"q""t"']))
+    if header is not None:
+        lines.insert(0, header)
+    ends = [draw(st.sampled_from(["\r\n", "\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    bom = "\ufeff" if draw(st.integers(0, 5)) == 0 else ""
+    return bom + "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(load, path, header):
+    """The array bytes a loader returns, or the exception it raises."""
+    try:
+        out = load(path, header)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    arr = out if isinstance(out, np.ndarray) else out.entries
+    return arr.shape, arr.dtype.str, arr.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts(), st.booleans())
+@example("nan,1\nInfinity,2\n", False)     # numpy reads both; only finite tables are kept
+@example("1_0\n2\n", False)                # only Python's float reads underscores
+@example("1,2\n \n3,4\n", False)           # a whitespace-only line is a bad cell
+@example('"a\nb",c\n1,2\n', True)          # one header record on two lines
+@example('"h\n1\n"\n2\n', True)            # skipping one line would read 1 and 2
+@example("1,2,\n3,4,\n", False)             # a trailing comma is an empty cell
+@example("", False)
+@example("", True)
+def test_loaders_match_the_python_reader(text, header):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        for load in (load_matrix_csv, load_vector_csv):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = _outcome(load, path, header)
+            assert caught == []
+            with mock.patch.object(lassoagg.cli, "_read_finite_cells", return_value=None):
+                expected = _outcome(load, path, header)
+            assert got == expected
