@@ -76,14 +76,14 @@ class CritResult:
 def precompute(X, y, family: SupportFamily) -> PrecomputedFits:
     """Materialize the per-support least-squares fits and their Gram matrix.
 
-    A support uses the fit of y on X that its family carries from the
-    homotopy; any other support is projected by pivoted QR.
+    A support uses the fit on the family's path when that is the path of
+    (X, y); any other support is projected by pivoted QR.
     """
     X = as_design(X)
     y = as_response(y, X.n)
     if len(family) == 0:
         raise InvalidInputError("support family is empty")
-    carried = family.fits.fitted if family.fits is not None and family.fits.of(X, y) else {}
+    carried = family.path.fits if family.path is not None and family.path.of(X, y) else {}
     F = np.column_stack([carried[T.indices] if T.indices in carried
                          else project(X, T, y).fitted for T in family])
     gram = F.T @ F
@@ -108,6 +108,8 @@ def crit_value(resid_sq: float, log_inv_w: float, sigma_hat_sq: float) -> float:
 
 
 def _clamp_sigma(sigma_hat_sq: float) -> float:
+    if not math.isfinite(sigma_hat_sq):
+        raise InvalidInputError("variance estimate must be finite")
     if sigma_hat_sq < 0:
         warnings.warn("negative variance estimate clamped to 0", RuntimeWarning)
         return 0.0

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .aggregation import CritResult, QAggResult
+from .aggregation import CritResult, QAggResult, SimplexWeights
 from .design import DesignMatrix, Support
 from .errors import DegenerateVarianceError, InvalidInputError
 from .path import SupportFamily, compute_path, path_support_family
@@ -34,6 +34,9 @@ from .solvers import sqrt_lasso  # noqa: F401
 from .weights import total_mass, verify_weight_bounds, weight_table
 
 SCHEMA_VERSION = "1"
+# I/O and execution settings: every other parsed argument is echoed in a
+# report's config
+NOT_ECHOED = frozenset({"header", "out", "path_csv", "threads"})
 
 
 class ParseError(InvalidInputError):
@@ -153,25 +156,10 @@ def _jsonable(obj):
         return obj.one_based()
     if isinstance(obj, SupportFamily):
         return {"source": obj.source, "supports": obj.supports}
-    if isinstance(obj, QAggResult):
-        return {
-            "kind": "q",
-            "theta_hat": obj.theta_hat.theta,
-            "objective": obj.objective,
-            "fw_gap": obj.fw_gap,
-            "sigma_hat_sq_used": obj.sigma_hat_sq_used,
-            "converged": obj.converged,
-            "iterations": obj.iterations,
-            "mu_hat": obj.mu_hat,
-        }
-    if isinstance(obj, CritResult):
-        return {
-            "kind": "crit",
-            "chosen": obj.chosen,
-            "crit_value": obj.crit_value,
-            "sigma_hat_sq_used": obj.sigma_hat_sq_used,
-            "mu_hat": obj.mu_hat,
-        }
+    if isinstance(obj, (QAggResult, CritResult)):
+        return {"kind": "q" if isinstance(obj, QAggResult) else "crit", **vars(obj)}
+    if isinstance(obj, SimplexWeights):
+        return obj.theta
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):
@@ -299,10 +287,7 @@ def _cmd_path(args):
         "truncated": path.truncated,
         "degenerate": path.degenerate,
     }
-    config = {"command": "path", "x": args.x, "y": args.y,
-              "max_knots": args.max_knots}
-    write_report(config, results, None, args.out)
-    return 0
+    return results, None, 0
 
 
 def _resolve_sigma(args) -> Optional[float]:
@@ -320,11 +305,12 @@ def _resolve_sigma(args) -> Optional[float]:
     return None
 
 
-def _write_pipeline_report(config, report: PipelineReport, out) -> int:
-    """Write the report; exit 3 when any solver behind it did not converge."""
-    write_report(config, _pipeline_results(report), {"timing": report.timing}, out)
+def _pipeline_outcome(report: PipelineReport):
+    """The results, environment and exit code of a pipeline report: exit 3
+    when any solver behind it did not converge."""
     qp_converged = not isinstance(report.result, QAggResult) or report.result.converged
-    return 0 if qp_converged and report.fits_converged else 3
+    code = 0 if qp_converged and report.fits_converged else 3
+    return _pipeline_results(report), {"timing": report.timing}, code
 
 
 def _cmd_aggregate(args):
@@ -332,10 +318,7 @@ def _cmd_aggregate(args):
     y = load_vector_csv(args.y, args.header)
     report = path_aggregate(X, y, _resolve_sigma(args), method=args.method,
                             max_knots=args.max_knots)
-    config = {"command": "aggregate", "x": args.x, "y": args.y,
-              "method": args.method, "sigma_mode": args.sigma_mode,
-              "sigma": args.sigma, "max_knots": args.max_knots}
-    return _write_pipeline_report(config, report, args.out)
+    return _pipeline_outcome(report)
 
 
 def _cmd_sqrt_pipeline(args):
@@ -343,10 +326,7 @@ def _cmd_sqrt_pipeline(args):
     y = load_vector_csv(args.y, args.header)
     report = sqrt_lasso_pipeline(X, y, lambda_min=args.lambda_min, M=args.grid_size,
                                  method=args.method, grid_mode=args.grid_mode)
-    config = {"command": "sqrt-pipeline", "x": args.x, "y": args.y,
-              "method": args.method, "lambda_min": args.lambda_min,
-              "grid_size": args.grid_size, "grid_mode": args.grid_mode}
-    return _write_pipeline_report(config, report, args.out)
+    return _pipeline_outcome(report)
 
 
 def _cmd_simulate(args):
@@ -359,15 +339,9 @@ def _cmd_simulate(args):
     results = dict(report)
     results["lhs"] = [c.lhs for c in checks]
     results["rhs"] = [c.rhs for c in checks]
-    config_echo = {"command": "simulate", "n": args.n, "p": args.p, "s": args.s,
-                   "sigma": args.sigma, "x_level": args.x_level, "reps": args.reps,
-                   "seed": args.seed, "method": args.method, "bound": args.bound,
-                   "sigma_mode": args.sigma_mode, "design": args.design,
-                   "rho": args.rho}
     environment = {"threads": args.threads,
                    "worker_processes": worker_processes(args.threads, args.reps)}
-    write_report(config_echo, results, environment, args.out)
-    return 0
+    return results, environment, 0
 
 
 def _cmd_weights(args):
@@ -378,10 +352,10 @@ def _cmd_weights(args):
         "bounds_hold": verify_weight_bounds(p) if p <= 64 else None,
         "total_mass": total_mass(p) if p <= 30 else None,
     }
-    write_report({"command": "weights", "p": p}, results, None, args.out)
-    return 0
+    return results, None, 0
 
 
+# Each command returns its results, its environment entries and its exit code.
 _COMMANDS = {
     "path": _cmd_path,
     "aggregate": _cmd_aggregate,
@@ -397,7 +371,10 @@ def main(argv=None) -> int:
         # numpy and scipy each bundle an OpenBLAS, whose thread pools contend
         # for the cores when the homotopy alternates calls between them
         with _one_blas_thread():
-            return _COMMANDS[args.command](args)
+            results, environment, code = _COMMANDS[args.command](args)
+            config = {k: v for k, v in vars(args).items() if k not in NOT_ECHOED}
+            write_report(config, results, environment, args.out)
+            return code
     except (InvalidInputError, DegenerateVarianceError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -13,6 +13,9 @@ from .errors import InvalidInputError
 # A pivot of the rank-revealing QR is dropped when its magnitude is at most
 # RANK_TOL times the largest pivot.
 RANK_TOL = 1e-10
+# Coefficients with magnitude above this count as part of the support.
+# Coordinate descent and the path produce zeros up to round-off, which this guards.
+SUPPORT_THRESH = 1e-10
 
 
 class DesignMatrix:
@@ -76,9 +79,10 @@ class Support:
         object.__setattr__(self, "indices", idx)
 
     @classmethod
-    def from_beta(cls, beta, thresh: float = 1e-10) -> "Support":
+    def from_beta(cls, beta) -> "Support":
+        """The coefficients of beta above SUPPORT_THRESH in magnitude."""
         beta = np.asarray(beta, dtype=float).ravel()
-        return cls(tuple(int(j) for j in np.nonzero(np.abs(beta) > thresh)[0]))
+        return cls(tuple(int(j) for j in np.nonzero(np.abs(beta) > SUPPORT_THRESH)[0]))
 
     @property
     def size(self) -> int:

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .design import RANK_TOL, DesignMatrix, Support, as_design, as_response
+from .design import (RANK_TOL, SUPPORT_THRESH, DesignMatrix, Support, as_design,
+                     as_response)
 from .errors import InvalidInputError
 # lasso_cd is unused here, but perfbench/tracing.py wraps it at this module
-from .solvers import SUPPORT_THRESH, lasso_cd  # noqa: F401
+from .solvers import lasso_cd  # noqa: F401
 
 # Relative tolerance under which simultaneous events count as a tie;
 # ties are broken by the lowest column index for determinism.
@@ -74,6 +75,21 @@ class LassoPath:
     @property
     def supports(self) -> List[Support]:
         return [seg.support for seg in self.segments]
+
+    def of(self, X: DesignMatrix, y: np.ndarray) -> bool:
+        """Whether this is the path of the response y on the design X: X is
+        the path's design or has equal entries, and y is equal."""
+        return ((X is self.design or np.array_equal(X.entries, self.design.entries))
+                and np.array_equal(y, self.response))
+
+    @cached_property
+    def fits(self) -> Dict[tuple, np.ndarray]:
+        """Support indices -> least-squares fit P_T y of every path support,
+        the empty one first, in order of first appearance."""
+        fitted = {(): np.zeros(self.design.n)}
+        for seg in self.segments:
+            fitted.setdefault(tuple(sorted(seg.active)), seg.fit)
+        return fitted
 
     @cached_property
     def segment_norms_sq(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -136,33 +152,14 @@ class LassoPath:
                                                     minlength=len(block))
         return losses / n, sizes
 
-    def family_fits(self) -> "FamilyFits":
-        """The fit of every path support, in order of first appearance."""
-        fitted = {(): np.zeros(self.design.n)}
-        for seg in self.segments:
-            fitted.setdefault(tuple(sorted(seg.active)), seg.fit)
-        return FamilyFits(self.design, self.response, fitted)
-
-
-class FamilyFits(NamedTuple):
-    """Least-squares fits of y on X: support indices -> P_T y."""
-    X: DesignMatrix
-    y: np.ndarray
-    fitted: Dict[tuple, np.ndarray]
-
-    def of(self, X: DesignMatrix, y: np.ndarray) -> bool:
-        """Whether these are fits of the response y on the design X."""
-        return ((X is self.X or np.array_equal(X.entries, self.X.entries))
-                and np.array_equal(y, self.y))
-
 
 @dataclass
 class SupportFamily:
     supports: Tuple[Support, ...]
     source: str = "external"
-    # fits carried from the homotopy by path and grid families; precompute
-    # projects the supports that have none
-    fits: Optional[FamilyFits] = field(default=None, compare=False, repr=False)
+    # path and grid families carry their path; precompute reads its fits
+    # and projects the supports that it has no fit for
+    path: Optional[LassoPath] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self._keys = {T.indices for T in self.supports}
@@ -375,10 +372,8 @@ def _insert_column(Q: np.ndarray, R: np.ndarray, x: np.ndarray,
 
 def path_support_family(path: LassoPath) -> SupportFamily:
     """Deduplicated supports appearing on the path, empty support included,
-    in order of first appearance, carrying their least-squares fits."""
-    fits = path.family_fits()
-    return SupportFamily(supports=tuple(Support(T) for T in fits.fitted), source="path",
-                         fits=fits)
+    in order of first appearance, carrying the path and so their fits."""
+    return SupportFamily(supports=tuple(map(Support, path.fits)), source="path", path=path)
 
 
 def grid_support_family(X, y, lambdas) -> SupportFamily:
@@ -394,8 +389,8 @@ def grid_support_family(X, y, lambdas) -> SupportFamily:
         raise InvalidInputError("all grid penalties must be positive")
 
     path = compute_path(X, y)
-    supports = [Support.from_beta(path.beta_at(lam), SUPPORT_THRESH)
+    supports = [Support.from_beta(path.beta_at(lam))
                 for lam in reversed(lambdas) if not path.truncated or lam >= path.knots[-1]]
     fam = SupportFamily.from_supports(supports, source="grid")
-    fam.fits = path.family_fits()
+    fam.path = path
     return fam

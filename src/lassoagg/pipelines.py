@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .aggregation import (CritResult, PrecomputedFits, QAggResult, crit_select, 
 from .design import Support, as_design, as_response
 from .errors import InvalidInputError
 from .path import LassoPath, SupportFamily, compute_path, path_support_family
-from .solvers import (SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda)
+from .solvers import sqrt_lasso, sqrt_lasso_universal_lambda
 
 
 @dataclass
@@ -61,7 +61,7 @@ def aggregate_estimators(X, y, betas: Sequence[np.ndarray], sigma_hat_sq: float,
         beta = np.asarray(beta, dtype=float).ravel()
         if beta.shape[0] != X.p:
             raise InvalidInputError("coefficient vector has wrong length")
-        supports.append(Support.from_beta(beta, SUPPORT_THRESH))
+        supports.append(Support.from_beta(beta))
     family = SupportFamily.from_supports(supports, source="external", include_empty=False)
     return aggregate(precompute(X, y, family), sigma_hat_sq, method)
 
@@ -78,30 +78,39 @@ def path_aggregate(X, y, sigma_hat_sq: Optional[float] = None, method: str = "q"
     X = as_design(X)
     y = as_response(y, X.n)
     t0 = time.perf_counter()
+    path, sigma_hat_sq, sigma_converged = _path_and_variance(X, y, sigma_hat_sq, max_knots)
+    path_meta = {
+        "knot_count": int(path.knots.size),
+        "truncated": path.truncated,
+        "degenerate": path.degenerate,
+        "lambda0": path.lambda0,
+    }
+    return _aggregate_report(X, y, path_support_family(path), sigma_hat_sq, method,
+                             sigma_converged, "path_s", t0, path_meta=path_meta)
+
+
+def _path_and_variance(X, y, sigma_hat_sq: Optional[float],
+                       max_knots: Optional[int] = None) -> Tuple[LassoPath, float, bool]:
+    """The Lasso path of (X, y), the variance to aggregate with and whether
+    its fit converged: sigma_hat_sq if given, else the estimate of the
+    square-root Lasso at its universal penalty, read off the path."""
     path = compute_path(X, y, max_knots=max_knots)
-    fits_converged = True
-    if sigma_hat_sq is None:
-        fit = sqrt_lasso(X, y, sqrt_lasso_universal_lambda(X.n, X.p), path=path)
-        sigma_hat_sq, fits_converged = fit.sigma_hat_sq, fit.converged
+    if sigma_hat_sq is not None:
+        return path, sigma_hat_sq, True
+    fit = sqrt_lasso(X, y, sqrt_lasso_universal_lambda(X.n, X.p), path=path)
+    return path, fit.sigma_hat_sq, fit.converged
+
+
+def _aggregate_report(X, y, family: SupportFamily, sigma_hat_sq: float, method: str,
+                      fits_converged: bool, stage: str, t0: float, **meta) -> PipelineReport:
+    """Aggregate the family and report it; timing holds the time since t0
+    under stage and the aggregation time under "aggregate_s"."""
     t1 = time.perf_counter()
-    family = path_support_family(path)
     result = aggregate(precompute(X, y, family), sigma_hat_sq, method)
     t2 = time.perf_counter()
-    return PipelineReport(
-        family=family,
-        sigma_hat_sq=result.sigma_hat_sq_used,
-        method=method,
-        result=result,
-        path_meta={
-            "knot_count": int(path.knots.size),
-            "truncated": path.truncated,
-            "degenerate": path.degenerate,
-            "lambda0": path.lambda0,
-        },
-        timing={"path_s": t1 - t0, "aggregate_s": t2 - t1},
-        fits_converged=fits_converged,
-        path=path,
-    )
+    return PipelineReport(family=family, sigma_hat_sq=result.sigma_hat_sq_used, method=method,
+                          result=result, timing={stage: t1 - t0, "aggregate_s": t2 - t1},
+                          fits_converged=fits_converged, path=family.path, **meta)
 
 
 def geometric_grid(lambda_min: float, lambda_max: float, M: int,
@@ -144,31 +153,20 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
     grid = geometric_grid(lambda_min, lambda_max, M, mode=grid_mode)
 
     t0 = time.perf_counter()
-    path = compute_path(X, y)
     # variance estimate at the universal penalty (largest grid value or above)
-    fit_max = sqrt_lasso(X, y, lambda_max, path=path)
+    path, sigma_hat_sq, sigma_converged = _path_and_variance(X, y, None)
     fits = [sqrt_lasso(X, y, lam, path=path) for lam in sorted(grid, reverse=True)]
     converged = [fit.converged for fit in fits]
-    family = SupportFamily.from_supports(
-        [Support.from_beta(fit.beta, SUPPORT_THRESH) for fit in fits], source="grid")
-    family.fits = path.family_fits()
-    t1 = time.perf_counter()
-
-    result = aggregate(precompute(X, y, family), fit_max.sigma_hat_sq, method)
-    t2 = time.perf_counter()
-    return PipelineReport(
-        family=family,
-        sigma_hat_sq=result.sigma_hat_sq_used,
-        method=method,
-        result=result,
-        grid_meta={
-            "lambda_min": lambda_min,
-            "lambda_max": lambda_max,
-            "grid": grid,
-            "grid_mode": grid_mode,
-            "converged": converged,
-        },
-        timing={"fits_s": t1 - t0, "aggregate_s": t2 - t1},
-        fits_converged=fit_max.converged and all(converged),
-        path=path,
-    )
+    family = SupportFamily.from_supports([Support.from_beta(fit.beta) for fit in fits],
+                                         source="grid")
+    family.path = path
+    grid_meta = {
+        "lambda_min": lambda_min,
+        "lambda_max": lambda_max,
+        "grid": grid,
+        "grid_mode": grid_mode,
+        "converged": converged,
+    }
+    return _aggregate_report(X, y, family, sigma_hat_sq, method,
+                             sigma_converged and all(converged), "fits_s", t0,
+                             grid_meta=grid_meta)

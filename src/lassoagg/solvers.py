@@ -10,12 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .design import as_design, as_response
+from .design import SUPPORT_THRESH, as_design, as_response
 from .errors import DegenerateVarianceError, InvalidInputError
-
-# Coefficients with magnitude above this count as part of the support.
-# Coordinate descent and the path produce zeros up to round-off, which this guards.
-SUPPORT_THRESH = 1e-10
 
 
 @dataclass
@@ -67,8 +63,8 @@ def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000,
     """
     X = as_design(X)
     y = as_response(y, X.n)
-    if lam <= 0:
-        raise InvalidInputError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise InvalidInputError("lam must be positive and finite")
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     n, p = X.n, X.p
@@ -128,20 +124,20 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
     The solution is the Lasso fit at the penalty t = c*||r(t)||, c = lam/sqrt(n).
     On a path segment r(t) = r0 + t*s with r0 orthogonal to s, so ||r(t)||/t
     grows as t falls: the root is unique and in closed form.  A missing or
-    truncated path, or one of another response, is recomputed, so the fit
-    does not depend on it; it is unconverged only when the knot cap stops
-    the path above the root.  Raises DegenerateVarianceError when the
+    truncated path, or one of other data (LassoPath.of), is recomputed, so
+    the fit does not depend on it; it is unconverged only when the knot cap
+    stops the path above the root.  Raises DegenerateVarianceError when the
     residual collapses.
     """
     from .path import compute_path  # path imports this module
 
     X = as_design(X)
     y = as_response(y, X.n)
-    if lam <= 0:
+    if not lam > 0:
         raise InvalidInputError("lam must be positive")
     if not np.any(y):
         raise DegenerateVarianceError("degenerate variance estimate: zero response")
-    if path is None or path.truncated or not np.array_equal(path.response, y):
+    if path is None or path.truncated or not path.of(X, y):
         path = compute_path(X, y)
     c = lam / math.sqrt(X.n)
     beta, r, k, converged = np.zeros(X.p), y, 0, True

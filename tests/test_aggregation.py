@@ -248,6 +248,23 @@ def test_q_aggregate_negative_sigma_clamped():
     assert res.sigma_hat_sq_used == 0.0
 
 
+@pytest.mark.parametrize("sigma_hat_sq", [math.nan, math.inf, -math.inf])
+def test_nonfinite_sigma_rejected(sigma_hat_sq):
+    X = DesignMatrix(np.ones((3, 1)))
+    pre = precompute(X, np.ones(3), make_family((), (0,)))
+    with pytest.raises(InvalidInputError):
+        q_aggregate(pre, sigma_hat_sq)
+    with pytest.raises(InvalidInputError):
+        crit_select(pre, sigma_hat_sq)
+    with pytest.raises(InvalidInputError):
+        q_objective(np.array([0.5, 0.5]), pre, sigma_hat_sq)
+    # NaN used to give an unconverged QP or, with crit, the empty support
+    inst = generate_instance(20, 6, 2, 0.5, seed=3)
+    for method in ("q", "crit"):
+        with pytest.raises(InvalidInputError):
+            path_aggregate(inst.X, inst.y, sigma_hat_sq, method=method)
+
+
 def test_aggregate_estimators_trivial_and_dedup():
     rng = np.random.default_rng(13)
     Xm = rng.standard_normal((8, 3))

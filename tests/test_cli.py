@@ -349,6 +349,35 @@ def test_results_section_byte_stable(tmp_path, data_files):
     assert canonical_json(outs[0]["config"]) == canonical_json(outs[1]["config"])
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["path", "--x", "x.csv", "--y", "y.csv", "--header", "--max-knots", "6",
+      "--path-csv", "p.csv"],
+     '{"command":"path","max_knots":6,"x":"x.csv","y":"y.csv"}'),
+    (["aggregate", "--x", "x.csv", "--y", "y.csv", "--method", "crit", "--sigma", "0.5"],
+     '{"command":"aggregate","max_knots":null,"method":"crit","sigma":0.5,'
+     '"sigma_mode":"known","x":"x.csv","y":"y.csv"}'),
+    (["sqrt-pipeline", "--x", "x.csv", "--y", "y.csv", "--grid-size", "5",
+      "--grid-mode", "paper-literal"],
+     '{"command":"sqrt-pipeline","grid_mode":"paper-literal","grid_size":5,'
+     '"lambda_min":null,"method":"q","x":"x.csv","y":"y.csv"}'),
+    (["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "0.5", "--reps", "2",
+      "--threads", "1", "--x", "2.5", "--bound", "oi_supports"],
+     '{"bound":"oi_supports","command":"simulate","design":"iid_gaussian","method":"q",'
+     '"n":20,"p":6,"reps":2,"rho":0.5,"s":1,"seed":0,"sigma":0.5,"sigma_mode":"known",'
+     '"x_level":2.5}'),
+    (["weights", "--p", "6"], '{"command":"weights","p":6}'),
+])
+def test_config_echoes_the_parsed_arguments_but_io_and_execution(tmp_path, data_files,
+                                                                 monkeypatch, argv, golden):
+    monkeypatch.chdir(tmp_path)     # data_files wrote x.csv and y.csv there
+    assert main(argv + ["--out", "r.json"]) == 0
+    config = json.loads((tmp_path / "r.json").read_text())["config"]
+    parsed = vars(lassoagg.cli.build_parser().parse_args(argv))
+    assert config == {k: v for k, v in parsed.items()
+                      if k not in ("header", "out", "path_csv", "threads")}
+    assert canonical_json(config) == golden
+
+
 def test_weights_command_stdout(capsys):
     assert main(["weights", "--p", "6"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -75,15 +75,16 @@ def test_sqrt_lasso_does_not_depend_on_the_path_given(data, factor, max_knots):
     X, y = data
     lam = factor * sqrt_lasso_universal_lambda(*X.shape)
     fits = []
-    # no path, the path of (X, y) complete and capped, and the path of another response
+    # no path, the path of (X, y) complete and capped, and the paths of
+    # another response and of another design
     for path in (None, compute_path(X, y), compute_path(X, y, max_knots=max_knots),
-                 compute_path(X, 2.0 * y)):
+                 compute_path(X, 2.0 * y), compute_path(2.0 * X, y)):
         try:
             fits.append(sqrt_lasso(X, y, lam, path=path))
         except DegenerateVarianceError:
             fits.append(None)
     if fits[0] is None:
-        assert fits == [None] * 4
+        assert fits == [None] * 5
         return
     for fit in fits[1:]:
         assert np.array_equal(fit.beta, fits[0].beta)
@@ -105,7 +106,7 @@ def test_grid_family_matches_coordinate_descent(data, factors):
     fits = [lasso_cd(X, y, lam, tol=1e-13, max_iter=20_000) for lam in sorted(lams, reverse=True)]
     assume(all(fit.converged for fit in fits))
     expected = SupportFamily.from_supports(
-        [Support.from_beta(fit.beta, SUPPORT_THRESH) for fit in fits], source="grid")
+        [Support.from_beta(fit.beta) for fit in fits], source="grid")
     assert grid_support_family(X, y, lams).supports == expected.supports
 
 
@@ -236,7 +237,7 @@ def test_path_family_fits_equal_qr_projections(data):
     design, families = _families_with_fits(X, y)
     scale = max(float(np.linalg.norm(y)), 1e-300)
     for family in families:
-        assert family.fits is not None
+        assert family.path is not None
         fitted = precompute(design, y, family).fitted_vectors
         for j, T in enumerate(family):
             ref = project(design, T, y).fitted

@@ -103,6 +103,13 @@ def test_invalid_lasso_inputs():
         lasso_cd(X, np.array([1.0]), 0.0)
     with pytest.raises(InvalidInputError):
         lasso_cd(X, np.array([1.0]), 1.0, tol=0.0)
+    # a NaN or infinite penalty has a NaN duality gap, so it would run every cycle
+    for lam in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            lasso_cd(X, np.array([1.0]), lam)
+    # a NaN penalty would give beta = 0 and report it converged
+    with pytest.raises(InvalidInputError):
+        sqrt_lasso(X, np.array([1.0]), math.nan)
 
 
 def test_sqrt_lasso_null_fit_variance():
