@@ -140,27 +140,6 @@ def _linear_coeffs(pre: PrecomputedFits, sigma_hat_sq: float) -> np.ndarray:
             + Q_PENALTY * sigma_hat_sq * pre.log_inv_weights)
 
 
-def q_objective(theta, pre: PrecomputedFits, sigma_hat_sq: float) -> float:
-    """Q-aggregation objective in Gram form:
-
-        0.5 * theta^T G theta
-        + sum_j theta_j (-2 y.mu_j + 0.5 ||mu_j||^2 + 26 s2 log(1/w_j))
-        + ||y||^2
-
-    which equals ||mu_theta - y||^2 + 0.5*pen(theta) + 26*s2*K(theta) with
-    pen(theta) = sum_j theta_j ||mu_j - mu_theta||^2 and
-    K(theta) = sum_j theta_j log(1/w_j).
-    """
-    theta = theta.theta if isinstance(theta, SimplexWeights) else np.asarray(theta, dtype=float).ravel()
-    if theta.shape[0] != pre.size:
-        raise InvalidInputError("theta length does not match the family size")
-    if np.any(theta < -1e-8) or abs(theta.sum() - 1.0) > 1e-8:
-        raise InvalidInputError("theta is off the probability simplex")
-    sigma_hat_sq = _clamp_sigma(sigma_hat_sq)
-    c = _linear_coeffs(pre, sigma_hat_sq)
-    return float(0.5 * theta @ (pre.gram @ theta) + theta @ c + pre.y_norm_sq)
-
-
 def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float) -> QAggResult:
     """Minimize the Q-aggregation objective over the simplex exactly.
 

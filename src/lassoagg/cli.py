@@ -25,10 +25,10 @@ from . import __version__
 from .aggregation import CritResult, QAggResult, SimplexWeights
 from .design import DesignMatrix, Support
 from .errors import DegenerateVarianceError, InvalidInputError
-from .path import SupportFamily, compute_path, path_support_family
+from .path import (SupportFamily, _one_blas_thread, _openblas_thread_controls, compute_path,
+                   path_support_family)
 from .pipelines import PipelineReport, path_aggregate, sqrt_lasso_pipeline
-from .simulation import (TrialConfig, _one_blas_thread, _openblas_thread_controls, monte_carlo,
-                         worker_processes)
+from .simulation import TrialConfig, monte_carlo, worker_processes
 # sqrt_lasso is unused here, but perfbench/tracing.py wraps it at this module
 from .solvers import sqrt_lasso  # noqa: F401
 from .weights import total_mass, verify_weight_bounds, weight_table
@@ -249,21 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo oracle-inequality verification")
     _add_common_flags(p)
+    trial = TrialConfig()   # the defaults of the replication settings
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--sigma", type=float, required=True, help="noise standard deviation sigma")
-    p.add_argument("--x-level", "--x", dest="x_level", type=float, default=3.0)
+    p.add_argument("--x-level", "--x", dest="x_level", type=float, default=trial.x)
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["q", "crit"], default="q")
+    p.add_argument("--seed", type=int, default=trial.seed)
+    p.add_argument("--method", choices=["q", "crit"], default=trial.method)
     p.add_argument("--bound", choices=["soi_path", "soi_supports", "oi_supports"],
-                   default="soi_path")
-    p.add_argument("--sigma-mode", choices=["known", "sqrt_lasso"], default="known")
+                   default=trial.bound)
+    p.add_argument("--sigma-mode", choices=["known", "sqrt_lasso"], default=trial.sigma_mode)
     p.add_argument("--design", choices=["iid_gaussian", "equicorrelated", "orthonormal"],
-                   default="iid_gaussian")
-    p.add_argument("--rho", type=float, default=0.5)
+                   default=trial.design_kind)
+    p.add_argument("--rho", type=float, default=trial.rho)
 
     p = sub.add_parser("weights", help="support-weight table diagnostics")
     _add_common_flags(p)

@@ -15,8 +15,10 @@ yields its least-squares fit P_A y = Q Q^T y and its slope X_A b.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,14 +61,16 @@ class PathSegment:
 
 @dataclass
 class LassoPath:
-    p: int
     knots: np.ndarray                  # strictly decreasing, knots[0] = lambda_0
     segments: List[PathSegment]        # segment k covers (knots[k+1], knots[k])
-    lambda_floor: float
     design: DesignMatrix = field(repr=False)      # the data the path was computed from
     response: np.ndarray = field(repr=False)
     truncated: bool = False
     degenerate: bool = False
+
+    @property
+    def p(self) -> int:
+        return self.design.p
 
     @property
     def lambda0(self) -> float:
@@ -99,19 +103,6 @@ class LassoPath:
             r0 = self.response - seg.fit
             rr[i], ss[i] = r0 @ r0, seg.slope @ seg.slope
         return rr, ss
-
-    def beta_at(self, lam: float) -> np.ndarray:
-        """Coefficient vector at penalty level lam (zero above lambda_0)."""
-        if lam < 0:
-            raise InvalidInputError("lam must be nonnegative")
-        if not self.segments or lam >= self.lambda0:
-            return np.zeros(self.p)
-        for seg in self.segments:
-            if lam >= seg.lo:
-                return seg.beta(lam, self.p)
-        # below the stopping lambda: clamp to the last segment's endpoint
-        last = self.segments[-1]
-        return last.beta(last.lo, self.p)
 
     def knot_segments(self) -> List[Tuple[float, PathSegment]]:
         """Each knot with the segment that ends at it; lambda_0 with the
@@ -182,6 +173,51 @@ class SupportFamily:
         return isinstance(T, Support) and T.indices in self._keys
 
 
+@lru_cache(maxsize=None)
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS library
+    mapped into this process (numpy and scipy each bundle one), looked up
+    once per process; forked workers map the same libraries."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    names = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+             for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        found = next((pair for pair in names if all(hasattr(lib, fn) for fn in pair)), None)
+        if found is not None:
+            get, set_ = getattr(lib, found[0]), getattr(lib, found[1])
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """One BLAS thread in this process for the duration of the block, the
+    previous counts restored after; yields the number of OpenBLAS libraries
+    pinned."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
+@_one_blas_thread()
 def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     """Full Lasso homotopy from lambda_0 = max_j |X_j^T y|/n down to the floor.
 
@@ -195,7 +231,9 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     active column norm) is not added, which also flags the path degenerate.
     The loop stops at the floor 1e-8 * lambda_0, when no event remains, or
     once max_knots knots (lambda_0 included) are recorded; truncated=True
-    means that events remained at the cap.
+    means that events remained at the cap.  It runs with one BLAS thread:
+    the loop alternates calls between numpy's and scipy's OpenBLAS, whose
+    thread pools contend for the cores; the caller's counts are restored.
     """
     X = as_design(X)
     y = as_response(y, X.n)
@@ -208,8 +246,7 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     if max_knots < 1:
         raise InvalidInputError("max_knots must be >= 1")
     if lam0 <= 0.0:
-        return LassoPath(p=p, knots=np.empty(0), segments=[], lambda_floor=0.0,
-                         design=X, response=y)
+        return LassoPath(knots=np.empty(0), segments=[], design=X, response=y)
     lambda_floor = 1e-8 * lam0
 
     degenerate = False
@@ -295,8 +332,7 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
         fired[j_ev] = True
         fired_at_knot.append(j_ev)
 
-    return LassoPath(p=p, knots=np.asarray(knots), segments=segments,
-                     lambda_floor=lambda_floor, truncated=truncated,
+    return LassoPath(knots=np.asarray(knots), segments=segments, truncated=truncated,
                      degenerate=degenerate, design=X, response=y)
 
 
@@ -375,22 +411,3 @@ def path_support_family(path: LassoPath) -> SupportFamily:
     in order of first appearance, carrying the path and so their fits."""
     return SupportFamily(supports=tuple(map(Support, path.fits)), source="path", path=path)
 
-
-def grid_support_family(X, y, lambdas) -> SupportFamily:
-    """Supports of the Lasso fits on a penalty grid, read off the path,
-    which also supplies their least-squares fits.  Penalties below the last
-    knot of a truncated path are unconverged and excluded from the family.
-    The empty support is always included.
-    """
-    X = as_design(X)
-    y = as_response(y, X.n)
-    lambdas = sorted(float(l) for l in np.atleast_1d(np.asarray(lambdas, dtype=float)))
-    if not lambdas or lambdas[0] <= 0.0:
-        raise InvalidInputError("all grid penalties must be positive")
-
-    path = compute_path(X, y)
-    supports = [Support.from_beta(path.beta_at(lam))
-                for lam in reversed(lambdas) if not path.truncated or lam >= path.knots[-1]]
-    fam = SupportFamily.from_supports(supports, source="grid")
-    fam.path = path
-    return fam

@@ -1,27 +1,23 @@
 """Synthetic sparse-regression instances and Monte Carlo verification of the
-oracle inequalities, plus the exhaustive sparsity-pattern aggregate for
-tiny p."""
+oracle inequalities."""
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Tuple
 
 import numpy as np
 
-# crit_select, compute_path and sqrt_lasso are unused here, but perfbench/tracing.py wraps them
-from .aggregation import QAggResult, crit_select, precompute, q_aggregate  # noqa: F401
-from .design import DesignMatrix, Support, as_design, project
+# crit_select, precompute, q_aggregate, compute_path and sqrt_lasso are
+# unused here, but perfbench/tracing.py wraps them
+from .aggregation import crit_select, precompute, q_aggregate  # noqa: F401
+from .design import DesignMatrix, project
 from .errors import InvalidInputError
-from .path import SupportFamily, compute_path  # noqa: F401
+from .path import _one_blas_thread, compute_path  # noqa: F401
 from .pipelines import path_aggregate
 from .solvers import sqrt_lasso  # noqa: F401
 
@@ -183,63 +179,6 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
 
     return OracleCheck(lhs=lhs, rhs=rhs, x_level=config.x, held=lhs <= rhs,
                        minimizing_term=minimizing, sigma_hat_sq=sigma_hat_sq)
-
-
-def exhaustive_spa(X, y, sigma_hat_sq: float) -> QAggResult:
-    """Q-aggregation over all 2^p supports (brute force; p <= 10 only)."""
-    X = as_design(X)
-    if X.p > 10:
-        raise InvalidInputError("exhaustive aggregation is capped at p <= 10")
-    all_supports = [Support(tuple(c))
-                    for k in range(X.p + 1)
-                    for c in combinations(range(X.p), k)]
-    family = SupportFamily.from_supports(all_supports, source="external")
-    pre = precompute(X, y, family)
-    return q_aggregate(pre, sigma_hat_sq)
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_thread_controls() -> tuple:
-    """The (get, set) thread-count functions of every OpenBLAS library
-    mapped into this process (numpy and scipy each bundle one), looked up
-    once per process; forked workers map the same libraries."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
-    except OSError:
-        return ()
-    names = [(f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-             for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        found = next((pair for pair in names if all(hasattr(lib, fn) for fn in pair)), None)
-        if found is not None:
-            get, set_ = getattr(lib, found[0]), getattr(lib, found[1])
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            controls.append((get, set_))
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread():
-    """One BLAS thread in this process for the duration of the block, the
-    previous counts restored after; yields the number of OpenBLAS libraries
-    pinned."""
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        yield len(controls)
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
 
 
 def worker_processes(parallelism: int, reps: int) -> int:

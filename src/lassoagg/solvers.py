@@ -1,6 +1,6 @@
-"""Fixed-lambda Lasso by cyclic coordinate descent and KKT verification,
-which serve as independent references for the homotopy, and the
-square-root Lasso read exactly off the Lasso path."""
+"""Fixed-lambda Lasso by cyclic coordinate descent, which serves as an
+independent reference for the homotopy, and the square-root Lasso read
+exactly off the Lasso path."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .design import SUPPORT_THRESH, as_design, as_response
+# SUPPORT_THRESH is unused here; solvers.SUPPORT_THRESH is a public name for it
+from .design import SUPPORT_THRESH, as_design, as_response  # noqa: F401
 from .errors import DegenerateVarianceError, InvalidInputError
 
 
@@ -30,12 +31,6 @@ class SqrtLassoFit:
     sigma_hat_sq: float
     iterations: int
     converged: bool
-
-
-@dataclass
-class KKTReport:
-    ok: bool
-    worst_violation: float
 
 
 def _duality_gap(n, lam, beta, r, Xt_r):
@@ -58,8 +53,11 @@ def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000,
              beta0: Optional[np.ndarray] = None) -> LassoFit:
     """Minimize (1/2n)||y - X b||^2 + lam*||b||_1 by cyclic coordinate descent.
 
-    Terminates when the duality gap drops below tol or after max_iter full
-    cycles.  Zero-norm columns are skipped (their optimal coefficient is 0).
+    Terminates when the duality gap drops below tol, after max_iter full
+    cycles, or once a cycle leaves beta and the residual bitwise unchanged:
+    a cycle is a function of them, so every later one would repeat it and
+    the fit, its gap and converged=False are those of the full run.
+    Zero-norm columns are skipped (their optimal coefficient is 0).
     """
     X = as_design(X)
     y = as_response(y, X.n)
@@ -81,6 +79,7 @@ def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000,
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
+        before = beta.tobytes(), r.tobytes()
         for j in range(p):
             if norms_n[j] <= 0.0:
                 continue
@@ -96,26 +95,9 @@ def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000,
         gap = _duality_gap(n, lam, beta, r, Xm.T @ r)
         if gap <= tol:
             return LassoFit(beta=beta, lam=lam, duality_gap=gap, iterations=it, converged=True)
+        if (beta.tobytes(), r.tobytes()) == before:
+            break
     return LassoFit(beta=beta, lam=lam, duality_gap=gap, iterations=it, converged=False)
-
-
-def kkt_check(X, y, lam: float, beta, tol: float = 1e-7) -> KKTReport:
-    """First-order optimality report for the Lasso objective.
-
-    Requires |X_j^T (y - Xb)/n| <= lam + tol everywhere and the gradient to
-    equal lam*sign(b_j) up to tol on active coordinates.
-    """
-    X = as_design(X)
-    y = as_response(y, X.n)
-    beta = np.asarray(beta, dtype=float).ravel()
-    g = X.entries.T @ (y - X.entries @ beta) / X.n
-    worst = 0.0
-    for j in range(X.p):
-        if abs(beta[j]) > SUPPORT_THRESH:
-            worst = max(worst, abs(g[j] - lam * math.copysign(1.0, beta[j])))
-        else:
-            worst = max(worst, max(0.0, abs(g[j]) - lam))
-    return KKTReport(ok=worst <= tol, worst_violation=worst)
 
 
 def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:

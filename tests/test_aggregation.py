@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from lassoagg.aggregation import (CritResult, QAggResult, crit_select, crit_value,
-                                  precompute, q_aggregate, q_objective)
+                                  precompute, q_aggregate)
 from lassoagg.design import DesignMatrix, Support, project
 from lassoagg.errors import InvalidInputError
-from lassoagg.path import SupportFamily, grid_support_family
+from lassoagg.path import SupportFamily
 from lassoagg.pipelines import aggregate_estimators, path_aggregate
 from lassoagg.simulation import generate_instance
 from lassoagg.weights import log_inv_weight
+from oracles import grid_support_family, q_objective
 
 
 def make_family(*index_tuples, include_empty=False):

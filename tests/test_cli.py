@@ -11,9 +11,10 @@ import lassoagg.pipelines
 import lassoagg.simulation
 from lassoagg.cli import (ParseError, canonical_json, load_matrix_csv,
                           load_vector_csv, main, save_matrix_csv)
-from lassoagg.path import compute_path
-from lassoagg.simulation import _one_blas_thread, _openblas_thread_controls, generate_instance
+from lassoagg.path import _openblas_thread_controls, compute_path
+from lassoagg.simulation import _one_blas_thread, generate_instance
 from lassoagg.solvers import SUPPORT_THRESH
+from oracles import beta_at
 from test_simulation import _openblas_thread_counts
 
 
@@ -184,7 +185,7 @@ def test_path_csv_support_size_uses_threshold(tmp_path):
     rows = load_matrix_csv(pcsv).entries
     y = load_vector_csv(ypath)
     path = compute_path(load_matrix_csv(xpath), y)
-    sizes = [int(np.sum(np.abs(path.beta_at(float(lam))) > SUPPORT_THRESH))
+    sizes = [int(np.sum(np.abs(beta_at(path, float(lam))) > SUPPORT_THRESH))
              for lam in path.knots]
     assert rows[:, 2].tolist() == sizes
     losses = [float(np.sum((y - (seg.fit - lam * seg.slope)) ** 2)) / y.size

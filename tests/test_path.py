@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import lassoagg.path
 from lassoagg.design import RANK_TOL, DesignMatrix, Support
 from lassoagg.errors import InvalidInputError
-from lassoagg.path import (SupportFamily, compute_path, grid_support_family,
-                           path_support_family)
-from lassoagg.simulation import _one_blas_thread, _openblas_thread_controls, generate_instance
-from lassoagg.solvers import SUPPORT_THRESH, kkt_check, lasso_cd
+from lassoagg.path import (SupportFamily, _one_blas_thread, _openblas_thread_controls,
+                           compute_path, path_support_family)
+from lassoagg.simulation import generate_instance
+from lassoagg.solvers import SUPPORT_THRESH, lasso_cd
+from oracles import beta_at, grid_support_family, kkt_check
+from test_simulation import _openblas_thread_counts
 
 
 def test_scalar_homotopy():
@@ -16,8 +19,8 @@ def test_scalar_homotopy():
     assert path.knots.tolist() == [3.0]
     assert [s.indices for s in path.supports] == [(0,)]
     # beta(lam) = 3 - lam on (0, 3), zero above
-    assert path.beta_at(1.0)[0] == pytest.approx(2.0, abs=1e-12)
-    assert path.beta_at(3.5)[0] == 0.0
+    assert beta_at(path, 1.0)[0] == pytest.approx(2.0, abs=1e-12)
+    assert beta_at(path, 3.5)[0] == 0.0
     fam = path_support_family(path)
     assert fam.supports == (Support(()), Support((0,)))
 
@@ -26,7 +29,7 @@ def test_zero_response():
     X = DesignMatrix(np.eye(3))
     path = compute_path(X, np.zeros(3))
     assert path.knots.size == 0
-    assert np.all(path.beta_at(0.1) == 0.0)
+    assert np.all(beta_at(path, 0.1) == 0.0)
     fam = path_support_family(path)
     assert fam.supports == (Support(()),)
 
@@ -42,7 +45,7 @@ def test_midpoint_coordinate_descent_oracle(seed):
     for seg in path.segments:
         lam = 0.5 * (seg.hi + seg.lo)
         fit = lasso_cd(X, y, lam, tol=1e-15, max_iter=200_000)
-        assert np.allclose(fit.beta, path.beta_at(lam), atol=1e-7)
+        assert np.allclose(fit.beta, beta_at(path, lam), atol=1e-7)
         assert Support.from_beta(fit.beta) == seg.support
 
 
@@ -53,8 +56,8 @@ def test_piecewise_linearity_between_knots():
     path = compute_path(DesignMatrix(Xm), y)
     for hi, lo in zip(path.knots, path.knots[1:]):
         mid = 0.5 * (hi + lo)
-        avg = 0.5 * (path.beta_at(hi) + path.beta_at(lo))
-        assert np.allclose(path.beta_at(mid), avg, atol=1e-9)
+        avg = 0.5 * (beta_at(path, hi) + beta_at(path, lo))
+        assert np.allclose(beta_at(path, mid), avg, atol=1e-9)
 
 
 def test_kkt_along_path():
@@ -68,7 +71,7 @@ def test_kkt_along_path():
             lam = seg.lo + t * (seg.hi - seg.lo)
             if lam <= 0:
                 continue
-            assert kkt_check(X, y, lam, path.beta_at(lam), tol=1e-7).ok
+            assert kkt_check(X, y, lam, beta_at(path, lam), tol=1e-7).ok
 
 
 def test_support_constant_within_segment():
@@ -187,7 +190,7 @@ def test_dependent_entry_is_refused_and_flagged(offset):
         assert not {0, 1} <= set(T.indices)
     for seg in path.segments:
         lam = 0.5 * (seg.hi + seg.lo)
-        assert kkt_check(DesignMatrix(Xm), y, lam, path.beta_at(lam), tol=1e-9).ok
+        assert kkt_check(DesignMatrix(Xm), y, lam, beta_at(path, lam), tol=1e-9).ok
 
 
 def _kkt_violation(X, y, lam, beta):
@@ -277,8 +280,33 @@ def test_path_does_not_depend_on_the_blas_thread_count():
         for _, set_threads in controls:
             set_threads(2)
         two = compute_path(inst.X, inst.y)
+        assert _openblas_thread_counts() == [2] * len(controls)
     assert np.array_equal(one.knots, two.knots)
     assert len(one.segments) == len(two.segments)
     for s1, s2 in zip(one.segments, two.segments):
         assert s1.active == s2.active
         assert np.array_equal(s1.fit, s2.fit)
+
+
+def test_compute_path_runs_one_blas_thread_and_restores_the_count(monkeypatch):
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library found")
+    seen = []
+    real = lassoagg.path._next_event
+
+    def spy(*args):
+        seen.append(_openblas_thread_counts())
+        return real(*args)
+
+    monkeypatch.setattr(lassoagg.path, "_next_event", spy)
+    X, y = DesignMatrix([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0])
+    with _one_blas_thread():    # restores the previous counts on exit
+        for _, set_threads in controls:
+            set_threads(2)
+        compute_path(X, y)
+        assert _openblas_thread_counts() == [2] * len(controls)
+        with pytest.raises(InvalidInputError):
+            compute_path(X, y, max_knots=0)
+        assert _openblas_thread_counts() == [2] * len(controls)
+    assert seen and seen == [[1] * len(controls)] * len(seen)

@@ -23,12 +23,12 @@ from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
 from lassoagg.cli import load_matrix_csv, load_vector_csv, save_matrix_csv
 from lassoagg.design import Support, project
 from lassoagg.errors import DegenerateVarianceError
-from lassoagg.path import (TIE_TOL, SupportFamily, _next_event, compute_path,
-                           grid_support_family, path_support_family)
+from lassoagg.path import TIE_TOL, SupportFamily, _next_event, compute_path, path_support_family
 from lassoagg.pipelines import sqrt_lasso_pipeline
 from lassoagg.simulation import generate_instance
 from lassoagg.solvers import (SUPPORT_THRESH, lasso_cd, sqrt_lasso,
                               sqrt_lasso_universal_lambda)
+from oracles import grid_support_family
 
 
 @st.composite

@@ -8,13 +8,13 @@ import pytest
 import lassoagg.simulation
 from lassoagg.design import Support, project
 from lassoagg.errors import InvalidInputError
-from lassoagg.path import compute_path
+from lassoagg.path import _openblas_thread_controls, compute_path
 from lassoagg.pipelines import path_aggregate
-from lassoagg.simulation import (OI, SOI, TrialConfig, _one_blas_thread,
-                                 _openblas_thread_controls, exhaustive_spa, generate_instance,
+from lassoagg.simulation import (OI, SOI, TrialConfig, _one_blas_thread, generate_instance,
                                  monte_carlo, oracle_bound, run_oracle_trial)
 from lassoagg.solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
 from lassoagg.weights import log_inv_weight
+from oracles import exhaustive_spa
 
 
 def test_generate_instance_invariants():

@@ -5,8 +5,8 @@ import pytest
 
 from lassoagg.design import DesignMatrix
 from lassoagg.errors import DegenerateVarianceError, InvalidInputError
-from lassoagg.solvers import (kkt_check, lasso_cd, sqrt_lasso,
-                              sqrt_lasso_universal_lambda)
+from lassoagg.solvers import lasso_cd, sqrt_lasso, sqrt_lasso_universal_lambda
+from oracles import kkt_check, lasso_cd_unshortened
 
 
 def random_orthonormal_design(n, p, seed):
@@ -76,6 +76,21 @@ def test_converged_fits_pass_kkt(seed):
         assert fit.converged
         assert fit.duality_gap <= 1e-9
         assert kkt_check(X, y, lam, fit.beta, tol=1e-8).ok
+
+
+def test_fixed_point_stop_matches_the_unshortened_loop():
+    # the duality gap stalls at 1.1e-16 here, so no positive tol below it is
+    # reached; a cycle leaves beta and r unchanged from cycle 28 on
+    rng = np.random.default_rng(2)
+    Xm = rng.standard_normal((10, 4))
+    y = rng.standard_normal(10)
+    lam = 0.3 * np.max(np.abs(Xm.T @ y)) / 10
+    fit = lasso_cd(DesignMatrix(Xm), y, lam, tol=1e-300, max_iter=2000)
+    full = lasso_cd_unshortened(DesignMatrix(Xm), y, lam, tol=1e-300, max_iter=2000)
+    assert fit.iterations < full.iterations == 2000
+    assert fit.beta.tobytes() == full.beta.tobytes()
+    assert fit.duality_gap == full.duality_gap
+    assert not fit.converged and not full.converged
 
 
 def test_zero_column_skipped():
