@@ -49,37 +49,71 @@ class OutputError(InvalidInputError):
 
 def load_matrix_csv(path: str, header: bool = False) -> DesignMatrix:
     """Load an RFC-4180 CSV (no header by default) as a design matrix."""
-    cells = _read_finite_cells(path, header)
-    if cells is not None:
-        return DesignMatrix(cells)
-    rows = _load_rows(path, header)
-    width = len(rows[0][1])
-    for lineno, row in rows:
-        if len(row) != width:
-            raise ParseError(f"{path}:{lineno}: ragged row ({len(row)} cells, expected {width})")
-    return DesignMatrix(np.array([r for _, r in rows]))
+    return DesignMatrix(_load_table(path, header, single_column=False))
 
 
 def load_vector_csv(path: str, header: bool = False) -> np.ndarray:
+    return _load_table(path, header, single_column=True).reshape(-1)
+
+
+def _load_data(args):
+    """The design X and response y named by the data flags."""
+    return load_matrix_csv(args.x, args.header), load_vector_csv(args.y, args.header)
+
+
+def _load_table(path, header, single_column):
+    """The cells of a CSV as a 2-D array: numpy's table when it is usable,
+    else the rows of the Python reader, whose widths are checked only once
+    every cell has parsed."""
     cells = _read_finite_cells(path, header)
-    if cells is not None and cells.shape[1] == 1:
-        return cells.reshape(-1)
-    rows = _load_rows(path, header)
-    values = []
-    for lineno, row in rows:
-        if len(row) != 1:
-            raise ParseError(f"{path}:{lineno}: expected a single column, got {len(row)}")
-        values.append(row[0])
-    return np.array(values)
+    if cells is not None and (cells.shape[1] == 1 or not single_column):
+        return cells
+    rows = _read_rows(path, header)
+    width = len(rows[0][1])
+    for lineno, values in rows:
+        if single_column and len(values) != 1:
+            raise ParseError(f"{path}:{lineno}: expected a single column, got {len(values)}")
+        if len(values) != width:
+            raise ParseError(f"{path}:{lineno}: ragged row ({len(values)} cells, expected {width})")
+    return np.array([values for _, values in rows])
+
+
+def _read_rows(path, header):
+    """(line number, values) of each nonblank row, the header skipped, read
+    by Python's csv reader.  Each cell is parsed once with float syntax; the
+    first non-numeric or non-finite cell raises."""
+    rows = []
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (header and lineno == 1):
+                continue
+            values = []
+            for colno, cell in enumerate(row, start=1):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{lineno}: non-numeric cell in column {colno}: {cell!r}")
+                if not math.isfinite(values[-1]):
+                    raise ParseError(
+                        f"{path}:{lineno}: non-finite value in column {colno}: {cell!r}")
+            rows.append((lineno, values))
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    return rows
 
 
 def _read_finite_cells(path, header):
     """The cells of a CSV as a 2-D array, read by numpy's C parser, or None
     unless the file parses there to a nonempty table of finite values.  That
     parser converts a cell as Python's float does, but rejects some spellings
-    float accepts (underscores, non-ASCII digits), so on None the Python
-    reader (_load_rows) reads the file and alone decides every error.  A
-    pipe cannot be read twice, so only regular files are read here."""
+    float accepts (underscores, non-ASCII digits), which only the Python
+    reader (_read_rows) reads.  A pipe cannot be read twice, so only
+    regular files are read here."""
     if not os.path.isfile(path):
         return None
     try:
@@ -93,46 +127,6 @@ def _read_finite_cells(path, header):
     except (OSError, ValueError, csv.Error):
         return None
     return cells if cells.size and np.isfinite(cells).all() else None
-
-
-def _load_rows(path, header):
-    """(line number, values) of each nonblank row, the header skipped.  Cells
-    are parsed with Python float syntax; a row that has a bad cell is scanned
-    again, cell by cell, to name the first one."""
-    rows = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if header and lineno == 1:
-                continue
-            if not row:
-                continue
-            try:
-                parsed = list(map(float, row))
-            except ValueError:
-                parsed = None
-            # the sum of finite values is finite unless it overflows
-            if parsed is None or not math.isfinite(sum(parsed)):
-                _raise_first_bad_cell(path, lineno, row)
-            rows.append((lineno, parsed))
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    return rows
-
-
-def _raise_first_bad_cell(path, lineno, row):
-    """Raise the ParseError of the first non-numeric or non-finite cell of
-    row; return if there is none (finite values whose sum overflows)."""
-    for colno, cell in enumerate(row, start=1):
-        try:
-            v = float(cell)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric cell in column {colno}: {cell!r}")
-        if not math.isfinite(v):
-            raise ParseError(f"{path}:{lineno}: non-finite value in column {colno}: {cell!r}")
 
 
 def _open_output(path, **kwargs):
@@ -274,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_path(args):
-    X = load_matrix_csv(args.x, args.header)
-    y = load_vector_csv(args.y, args.header)
+    X, y = _load_data(args)
     path = compute_path(X, y, max_knots=args.max_knots)
     family = path_support_family(path)
     if args.path_csv:
@@ -315,16 +308,14 @@ def _pipeline_outcome(report: PipelineReport):
 
 
 def _cmd_aggregate(args):
-    X = load_matrix_csv(args.x, args.header)
-    y = load_vector_csv(args.y, args.header)
+    X, y = _load_data(args)
     report = path_aggregate(X, y, _resolve_sigma(args), method=args.method,
                             max_knots=args.max_knots)
     return _pipeline_outcome(report)
 
 
 def _cmd_sqrt_pipeline(args):
-    X = load_matrix_csv(args.x, args.header)
-    y = load_vector_csv(args.y, args.header)
+    X, y = _load_data(args)
     report = sqrt_lasso_pipeline(X, y, lambda_min=args.lambda_min, M=args.grid_size,
                                  method=args.method, grid_mode=args.grid_mode)
     return _pipeline_outcome(report)

@@ -105,11 +105,13 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
 
     The solution is the Lasso fit at the penalty t = c*||r(t)||, c = lam/sqrt(n).
     On a path segment r(t) = r0 + t*s with r0 orthogonal to s, so ||r(t)||/t
-    grows as t falls: the root is unique and in closed form.  A missing or
-    truncated path, or one of other data (LassoPath.of), is recomputed, so
-    the fit does not depend on it; it is unconverged only when the knot cap
-    stops the path above the root.  Raises DegenerateVarianceError when the
-    residual collapses.
+    grows as t falls: the root is unique and in closed form.  A missing path,
+    or one of other data (LassoPath.of), is computed.  A capped path is
+    searched first on its exact segments (all but its last), which are the
+    uncapped path's first segments bit for bit, and the uncapped path is
+    computed only when they hold no root; so the fit does not depend on the
+    path, and it is unconverged only when the knot cap stops the path above
+    the root.  Raises DegenerateVarianceError when the residual collapses.
     """
     from .path import compute_path  # path imports this module
 
@@ -119,18 +121,23 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
         raise InvalidInputError("lam must be positive")
     if not np.any(y):
         raise DegenerateVarianceError("degenerate variance estimate: zero response")
-    if path is None or path.truncated or not path.of(X, y):
+    given = path is not None and path.of(X, y)
+    if not given:
         path = compute_path(X, y)
     c = lam / math.sqrt(X.n)
     beta, r, k, converged = np.zeros(X.p), y, 0, True
-    # the last segment of a truncated path runs past its unknown next event
-    exact = path.segments[:-1] if path.truncated else path.segments
     if c * float(np.linalg.norm(y)) < path.lambda0:
-        # the root lies on the first segment whose lower end is at or below
-        # c * ||r(lo)||; k counts the segments searched
-        rr, ss = (v[:len(exact)] for v in path.segment_norms_sq)
-        lo = np.array([seg.lo for seg in exact])
-        roots = np.flatnonzero(lo <= c * np.sqrt(rr + lo * lo * ss))
+        while True:
+            # the last segment of a truncated path runs past its unknown next event
+            exact = path.segments[:-1] if path.truncated else path.segments
+            # the root lies on the first segment whose lower end is at or below
+            # c * ||r(lo)||; k counts the segments searched
+            rr, ss = (v[:len(exact)] for v in path.segment_norms_sq)
+            lo = np.array([seg.lo for seg in exact])
+            roots = np.flatnonzero(lo <= c * np.sqrt(rr + lo * lo * ss))
+            if roots.size or not (given and path.truncated):
+                break
+            path, given = compute_path(X, y), False
         if roots.size:
             k = int(roots[0]) + 1
             seg, rr_k, ss_k = exact[k - 1], float(rr[k - 1]), float(ss[k - 1])

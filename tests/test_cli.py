@@ -95,6 +95,47 @@ def test_csv_from_a_pipe_is_read_once(tmp_path):
     assert str(exc.value) == f"/dev/fd/{read_end}:2: non-numeric cell in column 1: 'x'"
 
 
+def test_valid_numeric_files_never_reach_the_python_reader(tmp_path, monkeypatch):
+    calls = []
+    read_rows = lassoagg.cli._read_rows
+    monkeypatch.setattr(lassoagg.cli, "_read_rows",
+                        lambda *args: calls.append(args) or read_rows(*args))
+    cases = [
+        (load_matrix_csv, "1.5,2\r\n3,4\r\n", False, [[1.5, 2.0], [3.0, 4.0]]),
+        (load_matrix_csv, '"1.5","2"\n3,"4"\n', False, [[1.5, 2.0], [3.0, 4.0]]),
+        (load_matrix_csv, "1.5, 2\n3,  4\n", False, [[1.5, 2.0], [3.0, 4.0]]),
+        (load_matrix_csv, "a,b\n1.5,2\n3,4\n", True, [[1.5, 2.0], [3.0, 4.0]]),
+        (load_vector_csv, "1.5\n-2\n", False, [1.5, -2.0]),
+        (load_vector_csv, "y\n1.5\n-2\n", True, [1.5, -2.0]),
+    ]
+    for i, (load, text, header, expected) in enumerate(cases):
+        f = tmp_path / f"{i}.csv"
+        f.write_bytes(text.encode())
+        out = load(str(f), header)
+        assert (out if load is load_vector_csv else out.entries).tolist() == expected
+    assert calls == []
+    # a spelling that only float reads is left to the Python reader
+    f = tmp_path / "underscore.csv"
+    f.write_text("1_0\n2\n")
+    assert load_vector_csv(str(f)).tolist() == [10.0, 2.0]
+    assert calls == [(str(f), False)]
+
+
+def test_python_reader_errors_on_spellings_only_float_reads(tmp_path):
+    cases = [
+        (load_matrix_csv, "1_0,x\n", "1: non-numeric cell in column 2: 'x'"),
+        (load_matrix_csv, "1_0,inf\n", "1: non-finite value in column 2: 'inf'"),
+        (load_matrix_csv, "1_0,2\n3\n", "2: ragged row (1 cells, expected 2)"),
+        (load_vector_csv, "1_0,2\n", "1: expected a single column, got 2"),
+    ]
+    for i, (load, text, message) in enumerate(cases):
+        f = tmp_path / f"{i}.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load(str(f))
+        assert str(exc.value) == f"{f}:{message}"
+
+
 def test_save_matrix_csv_golden_bytes(tmp_path):
     f = tmp_path / "m.csv"
     save_matrix_csv(str(f), [[1.0, -0.0], [1e-05, 3.0]])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lassoagg.path
 from lassoagg.design import DesignMatrix
 from lassoagg.errors import DegenerateVarianceError, InvalidInputError
 from lassoagg.solvers import lasso_cd, sqrt_lasso, sqrt_lasso_universal_lambda
@@ -182,6 +183,34 @@ def test_sqrt_lasso_sigma_consistency():
     fit = sqrt_lasso(X, y, 0.3)
     recomputed = np.sum((y - Xm @ fit.beta) ** 2) / 25
     assert fit.sigma_hat_sq == pytest.approx(recomputed, rel=1e-10)
+
+
+def test_sqrt_lasso_searches_a_capped_path_before_computing_the_uncapped_one(monkeypatch):
+    rng = np.random.default_rng(5)
+    Xm = rng.standard_normal((30, 20))
+    beta = np.zeros(20)
+    beta[:5] = [3.0, -2.0, 1.5, -1.0, 0.5]
+    y = Xm @ beta + 0.5 * rng.standard_normal(30)
+    X, lam = DesignMatrix(Xm), 0.3
+    compute_path = lassoagg.path.compute_path
+    full = compute_path(X, y)
+    expected = sqrt_lasso(X, y, lam, path=full)
+    k = expected.iterations
+    assert expected.converged and 1 < k < full.knots.size - 4
+    calls = []
+    monkeypatch.setattr(lassoagg.path, "compute_path",
+                        lambda *args, **kw: calls.append(kw) or compute_path(*args, **kw))
+    # a cap of m knots leaves m - 1 exact segments: the root on segment k
+    # needs m > k; at lower caps the uncapped path is computed once
+    for cap, computed in ((k + 1, 0), (k + 4, 0), (k, 1), (1, 1)):
+        capped = compute_path(X, y, max_knots=cap)
+        assert capped.truncated
+        calls.clear()
+        fit = sqrt_lasso(X, y, lam, path=capped)
+        assert len(calls) == computed
+        assert fit.sigma_hat_sq == expected.sigma_hat_sq
+        assert np.array_equal(fit.beta, expected.beta)
+        assert fit.iterations == k and fit.converged
 
 
 def test_universal_lambda_values_and_scaling():
