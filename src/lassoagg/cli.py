@@ -81,27 +81,31 @@ def _load_table(path, header, single_column):
 def _read_rows(path, header):
     """(line number, values) of each nonblank row, the header skipped, read
     by Python's csv reader.  Each cell is parsed once with float syntax; the
-    first non-numeric or non-finite cell raises."""
+    first non-numeric or non-finite cell raises, and so does text that does
+    not decode."""
     rows = []
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (header and lineno == 1):
-                continue
-            values = []
-            for colno, cell in enumerate(row, start=1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}:{lineno}: non-numeric cell in column {colno}: {cell!r}")
-                if not math.isfinite(values[-1]):
-                    raise ParseError(
-                        f"{path}:{lineno}: non-finite value in column {colno}: {cell!r}")
-            rows.append((lineno, values))
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or (header and lineno == 1):
+                    continue
+                values = []
+                for colno, cell in enumerate(row, start=1):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}:{lineno}: non-numeric cell in column {colno}: {cell!r}")
+                    if not math.isfinite(values[-1]):
+                        raise ParseError(
+                            f"{path}:{lineno}: non-finite value in column {colno}: {cell!r}")
+                rows.append((lineno, values))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not {exc.encoding} text: {exc.reason}") from exc
     if not rows:
         raise ParseError(f"{path}: empty file")
     return rows

@@ -37,6 +37,8 @@ class DesignMatrix:
         self.n = n
         self.p = p
         norms = np.einsum("ij,ij->j", entries, entries)
+        if not np.all(np.isfinite(norms)):
+            raise InvalidInputError("design matrix has a column whose squared norm overflows")
         norms.setflags(write=False)
         self.column_norms_sq = norms
 
@@ -51,12 +53,16 @@ def as_design(X) -> DesignMatrix:
 
 
 def as_response(y, n: int) -> np.ndarray:
-    """Validate a response vector against the design's row count."""
+    """Validate a response vector against the design's row count: finite
+    entries and a finite squared norm."""
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != n:
         raise InvalidInputError(f"response has length {y.shape[0]}, expected {n}")
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("response contains non-finite entries")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(y @ y):
+            raise InvalidInputError("response's squared norm overflows")
     return y
 
 

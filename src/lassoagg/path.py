@@ -19,7 +19,7 @@ import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -67,6 +67,8 @@ class LassoPath:
     response: np.ndarray = field(repr=False)
     truncated: bool = False
     degenerate: bool = False
+    # the suspended event loop of a truncated path
+    loop: Optional["_Homotopy"] = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -98,11 +100,26 @@ class LassoPath:
     @cached_property
     def segment_norms_sq(self) -> Tuple[np.ndarray, np.ndarray]:
         """||y - fit||^2 and ||slope||^2 of every segment, computed once."""
-        rr, ss = np.empty(len(self.segments)), np.empty(len(self.segments))
-        for i, seg in enumerate(self.segments):
-            r0 = self.response - seg.fit
-            rr[i], ss[i] = r0 @ r0, seg.slope @ seg.slope
-        return rr, ss
+        return _norms_sq(self.response, self.segments)
+
+    def exact_runs(self) -> Iterator[Tuple[List[PathSegment], np.ndarray, np.ndarray, bool]]:
+        """The segments of compute_path(X, y) that no cap cuts short, at the
+        default cap, in runs: this path's own, then one per knot of its
+        continued loop, each with its segment_norms_sq and whether that path
+        goes on after it."""
+        cap = _default_max_knots(self.design)
+        read = len(self.segments) - self.truncated if self.knots.size <= cap else cap - 1
+        rr, ss = self.segment_norms_sq
+        more = self.truncated or self.knots.size > cap
+        yield self.segments[:read], rr[:read], ss[:read], more
+        loop = self.loop if self.knots.size < cap else None
+        while more and loop is not None:
+            more = loop.run(min(read + 2, cap)) or len(loop.segments) > read + 1
+            if len(loop.segments) == read:      # cut at the cap
+                return
+            run = loop.segments[read:read + 1]
+            read += 1
+            yield (run, *_norms_sq(self.response, run), more)
 
     def knot_segments(self) -> List[Tuple[float, PathSegment]]:
         """Each knot with the segment that ends at it; lambda_0 with the
@@ -142,6 +159,13 @@ class LassoPath:
             sizes[start:start + rows] = np.bincount(owner[np.abs(beta) > SUPPORT_THRESH],
                                                     minlength=len(block))
         return losses / n, sizes
+
+
+def _norms_sq(y: np.ndarray, segments: Sequence[PathSegment]) -> Tuple[np.ndarray, np.ndarray]:
+    """||y - fit||^2 and ||slope||^2 of each segment."""
+    rr = [r0 @ r0 for r0 in (y - seg.fit for seg in segments)]
+    return (np.array(rr, dtype=float),
+            np.array([seg.slope @ seg.slope for seg in segments], dtype=float))
 
 
 @dataclass
@@ -231,32 +255,61 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     active column norm) is not added, which also flags the path degenerate.
     The loop stops at the floor 1e-8 * lambda_0, when no event remains, or
     once max_knots knots (lambda_0 included) are recorded; truncated=True
-    means that events remained at the cap.  It runs with one BLAS thread:
-    the loop alternates calls between numpy's and scipy's OpenBLAS, whose
-    thread pools contend for the cores; the caller's counts are restored.
+    means that events remained at the cap, where the path keeps its loop
+    suspended.  It runs with one BLAS thread: the loop alternates calls
+    between numpy's and scipy's OpenBLAS, whose thread pools contend for the
+    cores; the caller's counts are restored.
     """
     X = as_design(X)
     y = as_response(y, X.n)
-    n, p = X.n, X.p
-    Xm = X.entries
-
-    lam0 = float(np.max(np.abs(Xm.T @ y / n)))
+    lam0 = float(np.max(np.abs(X.entries.T @ y / X.n)))
     if max_knots is None:
-        max_knots = 10 * min(n, p) + 10
+        max_knots = _default_max_knots(X)
     if max_knots < 1:
         raise InvalidInputError("max_knots must be >= 1")
     if lam0 <= 0.0:
         return LassoPath(knots=np.empty(0), segments=[], design=X, response=y)
-    lambda_floor = 1e-8 * lam0
+    loop = _Homotopy(X, y, lam0)
+    truncated = loop.run(max_knots)
+    return LassoPath(knots=np.asarray(loop.knots),
+                     segments=loop.segments + ([loop.suspended] if truncated else []),
+                     truncated=truncated, degenerate=loop.degenerate, design=X, response=y,
+                     loop=loop if truncated else None)
 
-    degenerate = False
-    truncated = False
+
+def _default_max_knots(X: DesignMatrix) -> int:
+    return 10 * min(X.n, X.p) + 10
+
+
+class _Homotopy:
+    """The event loop of one path, with the knots it has recorded and its
+    segments that no cap cuts short; run stops it at a knot cap, suspended
+    without a BLAS pin, and a later run continues it."""
+
+    def __init__(self, X: DesignMatrix, y: np.ndarray, lam0: float):
+        self.knots, self.segments, self.degenerate = [lam0], [], False
+        # the cap of the last run, and the segment of the loop head it stopped at
+        self.max_knots = self.suspended = None
+        self._loop = _event_loop(self, X, y, lam0)
+
+    def run(self, max_knots: int) -> bool:
+        """Continue to the end, or to the first loop head after max_knots
+        knots; returns whether events remain there."""
+        self.max_knots = max_knots
+        with _one_blas_thread():
+            return next(self._loop, False)
+
+
+def _event_loop(h: _Homotopy, X: DesignMatrix, y: np.ndarray, lam0: float) -> Iterator[bool]:
+    """The event loop; it records into h and waits at the cap h.max_knots."""
+    n, p = X.n, X.p
+    Xm = X.entries
+    lambda_floor = 1e-8 * lam0
+    knots, segments = h.knots, h.segments
     active = np.empty(0, dtype=np.intp)   # active columns, in order of entry
     signs = np.empty(0)                   # their signs on the current segment
     # the same columns for the segments, which share their int objects
     active_cols: Tuple[int, ...] = ()
-    knots: List[float] = [lam0]
-    segments: List[PathSegment] = []
     lam_cur = lam0
     col_norms = np.sqrt(X.column_norms_sq)
     enterable = col_norms > 0.0       # nonzero columns that are not active
@@ -289,14 +342,17 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
         event = _next_event(u, w, a, b, active, enterable,
                             fired if fired_at_knot else None, lam_cur, lambda_floor)
         # the cap is checked once the first event at the last knot has fired
-        if event is None or (fired_at_knot and len(knots) >= max_knots):
-            truncated = event is not None
+        while event is not None and fired_at_knot and len(knots) >= h.max_knots:
+            h.suspended = PathSegment(hi=lam_cur, lo=lambda_floor, active=active_cols,
+                                      a=a, b=b, fit=fit, slope=slope)
+            yield True
+        if event is None:
             segments.append(PathSegment(hi=lam_cur, lo=lambda_floor, active=active_cols,
                                         a=a, b=b, fit=fit, slope=slope))
             break
         lam_next, j_ev, sgn, tied = event
         if tied:
-            degenerate = True
+            h.degenerate = True
 
         if lam_next < lam_cur * (1.0 - TIE_TOL):
             segments.append(PathSegment(hi=lam_cur, lo=lam_next, active=active_cols,
@@ -308,7 +364,7 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
         elif fired_at_knot:
             # another event at the current knot: a zero-length segment, so
             # the active set is updated in place without recording a knot
-            degenerate = True
+            h.degenerate = True
         if sgn != 0.0:
             grown = np.append(active, j_ev)
             Q, R, independent = _insert_column(Q, R, Xm[:, j_ev],
@@ -320,7 +376,7 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
                 enterable[j_ev] = False
             else:
                 # X_j lies in the span of the active columns
-                degenerate = True
+                h.degenerate = True
         else:
             k = int(np.flatnonzero(active == j_ev)[0])
             Q, R = scipy.linalg.qr_delete(Q, R, k, which="col", check_finite=False)
@@ -331,9 +387,6 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
             enterable[j_ev] = True
         fired[j_ev] = True
         fired_at_knot.append(j_ev)
-
-    return LassoPath(knots=np.asarray(knots), segments=segments, truncated=truncated,
-                     degenerate=degenerate, design=X, response=y)
 
 
 def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -105,13 +105,14 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
 
     The solution is the Lasso fit at the penalty t = c*||r(t)||, c = lam/sqrt(n).
     On a path segment r(t) = r0 + t*s with r0 orthogonal to s, so ||r(t)||/t
-    grows as t falls: the root is unique and in closed form.  A missing path,
-    or one of other data (LassoPath.of), is computed.  A capped path is
-    searched first on its exact segments (all but its last), which are the
-    uncapped path's first segments bit for bit, and the uncapped path is
-    computed only when they hold no root; so the fit does not depend on the
-    path, and it is unconverged only when the knot cap stops the path above
-    the root.  Raises DegenerateVarianceError when the residual collapses.
+    grows as t falls: the root is unique and in closed form.  The segments
+    are read by LassoPath.exact_runs: those of the given path first, then,
+    past a knot cap, those of its continued homotopy, up to the root and
+    within the default cap; a missing path, or one of other data
+    (LassoPath.of), is started with one knot.  So the fit does not depend on
+    the path, and it is unconverged only when the default knot cap stops the
+    path above the root.  Raises DegenerateVarianceError when the residual
+    collapses.
     """
     from .path import compute_path  # path imports this module
 
@@ -121,34 +122,29 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
         raise InvalidInputError("lam must be positive")
     if not np.any(y):
         raise DegenerateVarianceError("degenerate variance estimate: zero response")
-    given = path is not None and path.of(X, y)
-    if not given:
-        path = compute_path(X, y)
+    if path is None or not path.of(X, y):
+        path = compute_path(X, y, max_knots=1)
     c = lam / math.sqrt(X.n)
     beta, r, k, converged = np.zeros(X.p), y, 0, True
     if c * float(np.linalg.norm(y)) < path.lambda0:
-        while True:
-            # the last segment of a truncated path runs past its unknown next event
-            exact = path.segments[:-1] if path.truncated else path.segments
-            # the root lies on the first segment whose lower end is at or below
-            # c * ||r(lo)||; k counts the segments searched
-            rr, ss = (v[:len(exact)] for v in path.segment_norms_sq)
-            lo = np.array([seg.lo for seg in exact])
+        # the root lies on the first segment whose lower end is at or below
+        # c * ||r(lo)||; k counts the segments searched
+        for run, rr, ss, more in path.exact_runs():
+            lo = np.array([seg.lo for seg in run])
             roots = np.flatnonzero(lo <= c * np.sqrt(rr + lo * lo * ss))
-            if roots.size or not (given and path.truncated):
+            if roots.size:
+                i = int(roots[0])
+                k += i + 1
+                seg, denom = run[i], 1.0 - c * c * float(ss[i])   # > 0 unless the root is at hi
+                t = c * math.sqrt(float(rr[i]) / denom) if denom > 0.0 else seg.hi
                 break
-            path, given = compute_path(X, y), False
-        if roots.size:
-            k = int(roots[0]) + 1
-            seg, rr_k, ss_k = exact[k - 1], float(rr[k - 1]), float(ss[k - 1])
-            denom = 1.0 - c * c * ss_k   # > 0 unless the root is at hi
-            t = c * math.sqrt(rr_k / denom) if denom > 0.0 else seg.hi
+            k += len(run)
         else:
-            k = len(exact)
-            if not path.truncated:
+            if not more:
                 raise DegenerateVarianceError(
                     "degenerate variance estimate: residual collapsed (interpolation regime)")
-            (t, seg), converged = path.knot_segments()[-1], False
+            # the knot cap stops the path above the root: the fit at its last knot
+            seg, t, converged = run[-1], run[-1].lo, False
         t = min(max(t, seg.lo), seg.hi)
         beta, r = seg.beta(t, X.p), y - (seg.fit - t * seg.slope)
     sigma = float(np.linalg.norm(r)) / math.sqrt(X.n)

@@ -11,6 +11,7 @@ import lassoagg.pipelines
 import lassoagg.simulation
 from lassoagg.cli import (ParseError, canonical_json, load_matrix_csv,
                           load_vector_csv, main, save_matrix_csv)
+from lassoagg.errors import InvalidInputError
 from lassoagg.path import _openblas_thread_controls, compute_path
 from lassoagg.simulation import _one_blas_thread, generate_instance
 from lassoagg.solvers import SUPPORT_THRESH
@@ -67,11 +68,15 @@ def test_csv_errors_carry_line_numbers(tmp_path):
         load_matrix_csv(str(blank))
     assert str(exc.value) == f"{blank}:4: non-numeric cell in column 2: 'x'"
 
-    # quoted and padded numbers, and finite cells whose sum overflows, are accepted
+    # the reader accepts quoted and padded numbers, and finite cells whose
+    # sum overflows; the design matrix then rejects columns whose squared
+    # norms overflow
     good = tmp_path / "good.csv"
     good.write_text('"1.5",2\n 1.5 ,\t-3e-2\n1e308,1e308\n')
-    assert load_matrix_csv(str(good)).entries.tolist() == [[1.5, 2.0], [1.5, -0.03],
-                                                          [1e308, 1e308]]
+    assert lassoagg.cli._load_table(str(good), False, False).tolist() == [
+        [1.5, 2.0], [1.5, -0.03], [1e308, 1e308]]
+    with pytest.raises(InvalidInputError, match="squared norm overflows"):
+        load_matrix_csv(str(good))
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -340,6 +345,30 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+def test_undecodable_csv_exits_2_naming_the_file(tmp_path, data_files, capsys):
+    xpath, *_ = data_files
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"1\n\xe9\n")
+    assert main(["path", "--x", xpath, "--y", str(latin1)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"{latin1}: not utf-8 text")
+
+
+@pytest.mark.parametrize("argv, x, y, message", [
+    (["path"], "1e308,1e308\n1,2\n3,5\n", "1\n2\n4\n",
+     "design matrix has a column whose squared norm overflows"),
+    (["aggregate", "--sigma", "1"], "1,0\n0,1\n1,1\n", "1e308\n1\n2\n",
+     "response's squared norm overflows"),
+])
+def test_finite_inputs_whose_squares_overflow_exit_2(tmp_path, capsys, argv, x, y, message):
+    (tmp_path / "x.csv").write_text(x)
+    (tmp_path / "y.csv").write_text(y)
+    assert main(argv + ["--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        json.dumps({"error": "InvalidInputError", "message": message})]
+
+
 def test_simulate_command_and_thread_invariance(tmp_path):
     args = ["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "0.5",
             "--reps", "3", "--seed", "7"]
@@ -586,3 +615,44 @@ def test_simulate_rejects_fewer_than_one_thread(monkeypatch, capsys, threads):
     assert main(SIMULATE + ["--threads", threads, "--reps", "2"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
     assert _PoolSpy.started == []
+
+
+GOLDEN_RUNS = {
+    "aggregate_sqrt_lasso_max_knots_1": ["aggregate", "--sigma-mode", "sqrt_lasso",
+                                         "--max-knots", "1"],
+    "aggregate_sqrt_lasso_max_knots_2": ["aggregate", "--sigma-mode", "sqrt_lasso",
+                                         "--max-knots", "2"],
+    "aggregate_sqrt_lasso_max_knots_3": ["aggregate", "--sigma-mode", "sqrt_lasso",
+                                         "--max-knots", "3"],
+    "aggregate_sqrt_lasso": ["aggregate", "--sigma-mode", "sqrt_lasso"],
+    "path_max_knots_2": ["path", "--max-knots", "2"],
+    "sqrt_pipeline_crit": ["sqrt-pipeline", "--method", "crit"],
+}
+
+
+def _golden_results(tmp_path):
+    """Exit code and canonical results bytes of each GOLDEN_RUNS command on
+    one fixed (30, 20) instance, whose square-root-Lasso root at the
+    universal penalty lies on segment 6 of its path."""
+    rng = np.random.default_rng(0)
+    Xm = 3.0 * rng.standard_normal((30, 20))
+    beta = np.zeros(20)
+    beta[:5] = [3.0, -2.0, 1.5, -1.0, 0.5]
+    y = Xm @ beta + 0.5 * rng.standard_normal(30)
+    xpath, ypath = str(tmp_path / "gx.csv"), str(tmp_path / "gy.csv")
+    save_matrix_csv(xpath, Xm)
+    save_matrix_csv(ypath, y.reshape(-1, 1))
+    found = {}
+    for name, argv in GOLDEN_RUNS.items():
+        out = tmp_path / f"{name}.json"
+        code = main([argv[0], "--x", xpath, "--y", ypath, *argv[1:], "--out", str(out)])
+        found[name] = [code, canonical_json(json.loads(out.read_text())["results"])]
+    return found
+
+
+def test_results_match_the_golden_bytes(tmp_path):
+    # expected bytes written by the code before the homotopy became resumable
+    golden = os.path.join(os.path.dirname(__file__), "golden_results.json")
+    with open(golden) as fh:
+        expected = json.load(fh)
+    assert _golden_results(tmp_path) == expected

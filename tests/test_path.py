@@ -7,7 +7,7 @@ from lassoagg.errors import InvalidInputError
 from lassoagg.path import (SupportFamily, _one_blas_thread, _openblas_thread_controls,
                            compute_path, path_support_family)
 from lassoagg.simulation import generate_instance
-from lassoagg.solvers import SUPPORT_THRESH, lasso_cd
+from lassoagg.solvers import SUPPORT_THRESH, lasso_cd, sqrt_lasso
 from oracles import beta_at, grid_support_family, kkt_check
 from test_simulation import _openblas_thread_counts
 
@@ -310,3 +310,31 @@ def test_compute_path_runs_one_blas_thread_and_restores_the_count(monkeypatch):
             compute_path(X, y, max_knots=0)
         assert _openblas_thread_counts() == [2] * len(controls)
     assert seen and seen == [[1] * len(controls)] * len(seen)
+
+
+def test_a_continued_path_runs_one_blas_thread_and_no_pin_outlives_it(monkeypatch):
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library found")
+    rng = np.random.default_rng(5)
+    X, y = DesignMatrix(rng.standard_normal((30, 20))), rng.standard_normal(30)
+    seen = []
+    real = lassoagg.path._next_event
+
+    def spy(*args):
+        seen.append(_openblas_thread_counts())
+        return real(*args)
+
+    with _one_blas_thread():    # restores the previous counts on exit
+        for _, set_threads in controls:
+            set_threads(2)
+        capped = compute_path(X, y, max_knots=1)
+        # the suspended loop holds no pin
+        assert capped.loop is not None
+        assert _openblas_thread_counts() == [2] * len(controls)
+        monkeypatch.setattr(lassoagg.path, "_next_event", spy)
+        fit = sqrt_lasso(X, y, 0.1, path=capped)
+        assert _openblas_thread_counts() == [2] * len(controls)
+    # the root lies past the capped path: its loop continued
+    assert fit.iterations > 1 and len(seen) >= fit.iterations
+    assert seen == [[1] * len(controls)] * len(seen)

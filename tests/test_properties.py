@@ -2,7 +2,8 @@
 fitted values and the least-squares fits that path and grid families carry,
 all read off the Lasso path, checked against their optimality conditions,
 the coordinate-descent reference, X beta and the pivoted-QR projection; the
-homotopy's event search, checked against its candidate-list form; the
+homotopy's event search, checked against its candidate-list form, and its
+loop continued past a knot cap, checked against the uncapped path; the
 Q-aggregation QP, checked against its Frank-Wolfe gap and every vertex; the
 CLI's CSV round trip; and the CLI's CSV loaders, checked against their
 Python reader alone."""
@@ -23,12 +24,14 @@ from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
 from lassoagg.cli import load_matrix_csv, load_vector_csv, save_matrix_csv
 from lassoagg.design import Support, project
 from lassoagg.errors import DegenerateVarianceError
-from lassoagg.path import TIE_TOL, SupportFamily, _next_event, compute_path, path_support_family
+from lassoagg.path import (TIE_TOL, LassoPath, SupportFamily, _next_event, compute_path,
+                           path_support_family)
 from lassoagg.pipelines import sqrt_lasso_pipeline
 from lassoagg.simulation import generate_instance
 from lassoagg.solvers import (SUPPORT_THRESH, lasso_cd, sqrt_lasso,
                               sqrt_lasso_universal_lambda)
 from oracles import grid_support_family
+from test_solvers import path_bytes
 
 
 @st.composite
@@ -90,6 +93,48 @@ def test_sqrt_lasso_does_not_depend_on_the_path_given(data, factor, max_knots):
         assert np.array_equal(fit.beta, fits[0].beta)
         assert (fit.sigma_hat_sq, fit.iterations, fit.converged) == \
             (fits[0].sigma_hat_sq, fits[0].iterations, fits[0].converged)
+
+
+@st.composite
+def tied_designs(draw):
+    """Small integer designs in which some columns repeat the previous one,
+    negated or doubled, with integer responses: their paths have tied events
+    and refused entries."""
+    n = draw(st.integers(2, 10))
+    p = draw(st.integers(1, 10))
+    X = draw(arrays(np.float64, (n, p), elements=st.integers(-3, 3).map(float)))
+    for j in range(1, p):
+        factor = draw(st.sampled_from([None, 1.0, -1.0, 2.0]))
+        if factor is not None:
+            X[:, j] = factor * X[:, j - 1]
+    return X, draw(arrays(np.float64, n, elements=st.integers(-3, 3).map(float)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(instances(max_n=20, max_p=30), tied_designs()), st.integers(1, 6))
+# column 1 ties with column 0 at lambda_0 and enters in place
+@example((2.0 * np.eye(4)[:, :3], np.array([1.0, 1.0, 0.5, 0.0])), 1)
+# each column twice: the copy's entry is refused
+@example((np.repeat(np.eye(3), 2, axis=1), np.array([3.0, 2.0, 1.0])), 2)
+def test_a_continued_path_is_the_uncapped_path(data, max_knots):
+    X, y = data
+    full = compute_path(X, y)
+    capped = compute_path(X, y, max_knots=max_knots)
+    assert (capped.loop is not None) == capped.truncated
+    if capped.loop is None:
+        assert path_bytes(capped) == path_bytes(full)
+        return
+    before = path_bytes(capped)
+    loop = capped.loop
+    # continued to the default cap, the loop has recorded the uncapped path
+    truncated = loop.run(10 * min(X.shape) + 10)
+    continued = LassoPath(knots=np.asarray(loop.knots),
+                          segments=loop.segments + ([loop.suspended] if truncated else []),
+                          truncated=truncated, degenerate=loop.degenerate,
+                          design=full.design, response=full.response)
+    assert path_bytes(continued) == path_bytes(full)
+    # continuing the loop leaves the capped path as it was
+    assert path_bytes(capped) == before
 
 
 @settings(max_examples=25, deadline=None)
@@ -316,7 +361,9 @@ def test_csv_round_trip_is_bitwise(M):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.csv")
         save_matrix_csv(path, M)
-        back = load_matrix_csv(path).entries
+        # the table load_matrix_csv reads, before the design matrix rejects
+        # columns whose squared norms overflow
+        back = lassoagg.cli._load_table(path, False, False)
     assert back.shape == M.shape
     assert back.tobytes() == M.tobytes()
 

@@ -185,32 +185,91 @@ def test_sqrt_lasso_sigma_consistency():
     assert fit.sigma_hat_sq == pytest.approx(recomputed, rel=1e-10)
 
 
-def test_sqrt_lasso_searches_a_capped_path_before_computing_the_uncapped_one(monkeypatch):
+def _capped_instance():
+    """A (30, 20) instance whose square-root-Lasso root at lam = 0.3 lies on
+    segment k of its path, with k and the fit read off the complete path."""
     rng = np.random.default_rng(5)
     Xm = rng.standard_normal((30, 20))
     beta = np.zeros(20)
     beta[:5] = [3.0, -2.0, 1.5, -1.0, 0.5]
     y = Xm @ beta + 0.5 * rng.standard_normal(30)
     X, lam = DesignMatrix(Xm), 0.3
-    compute_path = lassoagg.path.compute_path
-    full = compute_path(X, y)
+    full = lassoagg.path.compute_path(X, y)
     expected = sqrt_lasso(X, y, lam, path=full)
+    assert expected.converged and 1 < expected.iterations < full.knots.size - 4
+    return X, y, lam, expected
+
+
+def path_bytes(path):
+    """A path's knots, flags and segment fields, for comparing paths bit for bit."""
+    return (path.knots.tobytes(), path.truncated, path.degenerate,
+            [(seg.hi, seg.lo, seg.active, seg.a.tobytes(), seg.b.tobytes(),
+              seg.fit.tobytes(), seg.slope.tobytes()) for seg in path.segments])
+
+
+def test_sqrt_lasso_searches_a_capped_path_before_continuing_it(monkeypatch):
+    X, y, lam, expected = _capped_instance()
     k = expected.iterations
-    assert expected.converged and 1 < k < full.knots.size - 4
+    compute_path = lassoagg.path.compute_path
     calls = []
     monkeypatch.setattr(lassoagg.path, "compute_path",
                         lambda *args, **kw: calls.append(kw) or compute_path(*args, **kw))
     # a cap of m knots leaves m - 1 exact segments: the root on segment k
-    # needs m > k; at lower caps the uncapped path is computed once
-    for cap, computed in ((k + 1, 0), (k + 4, 0), (k, 1), (1, 1)):
+    # needs m > k; at lower caps the path's own loop continues to the root
+    for cap in (k + 1, k + 4, k, 1):
         capped = compute_path(X, y, max_knots=cap)
         assert capped.truncated
+        before = path_bytes(capped)
         calls.clear()
-        fit = sqrt_lasso(X, y, lam, path=capped)
-        assert len(calls) == computed
-        assert fit.sigma_hat_sq == expected.sigma_hat_sq
-        assert np.array_equal(fit.beta, expected.beta)
-        assert fit.iterations == k and fit.converged
+        for _ in range(2):      # a second fit reads what the first continued
+            fit = sqrt_lasso(X, y, lam, path=capped)
+            assert calls == []
+            assert fit.sigma_hat_sq == expected.sigma_hat_sq
+            assert np.array_equal(fit.beta, expected.beta)
+            assert fit.iterations == k and fit.converged
+        # the family is built from the path, which continuing leaves as it was
+        assert path_bytes(capped) == before
+
+
+def test_sqrt_lasso_searches_no_further_than_its_root(monkeypatch):
+    X, y, lam, expected = _capped_instance()
+    k = expected.iterations
+    compute_path = lassoagg.path.compute_path
+    real = lassoagg.path._next_event
+    searches = []
+    monkeypatch.setattr(lassoagg.path, "_next_event",
+                        lambda *args: searches.append(None) or real(*args))
+    # the loop heads of the knots up to the root's lower end, and the next
+    compute_path(X, y, max_knots=k + 1)
+    needed = len(searches)
+    assert needed == k + 2
+    searches.clear()
+    sqrt_lasso(X, y, lam)
+    assert len(searches) == needed
+    for cap in (1, 2, k, k + 1, k + 4):
+        searches.clear()
+        capped = compute_path(X, y, max_knots=cap)
+        sqrt_lasso(X, y, lam, path=capped)
+        assert len(searches) == max(needed, cap + 1)
+
+
+@pytest.mark.parametrize("default_cap", [3, 4, 6])
+def test_sqrt_lasso_reads_no_further_than_the_default_cap(monkeypatch, default_cap):
+    X, y, lam, expected = _capped_instance()
+    assert expected.iterations >= default_cap
+    monkeypatch.setattr(lassoagg.path, "_default_max_knots", lambda X: default_cap)
+    compute_path = lassoagg.path.compute_path
+    # the root lies below the default cap: the fit at its last knot, whatever
+    # the cap of the path given, longer paths included
+    fits = [sqrt_lasso(X, y, lam, path=None if cap is None else compute_path(X, y, max_knots=cap))
+            for cap in (None, 1, default_cap - 1, default_cap, default_cap + 1, 50)]
+    for fit in fits:
+        assert not fit.converged and fit.iterations == default_cap - 1
+        assert fit.sigma_hat_sq == fits[0].sigma_hat_sq
+        assert np.array_equal(fit.beta, fits[0].beta)
+    full = compute_path(X, y)
+    last = full.segments[default_cap - 2]
+    assert np.array_equal(fits[0].beta, last.beta(full.knots[default_cap - 1], X.p))
 
 
 def test_universal_lambda_values_and_scaling():
