@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -68,7 +68,7 @@ class LassoPath:
     truncated: bool = False
     degenerate: bool = False
     # the suspended event loop of a truncated path
-    loop: Optional["_Homotopy"] = field(default=None, repr=False, compare=False)
+    loop: Optional[Generator] = field(default=None, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -114,10 +114,12 @@ class LassoPath:
         yield self.segments[:read], rr[:read], ss[:read], more
         loop = self.loop if self.knots.size < cap else None
         while more and loop is not None:
-            more = loop.run(min(read + 2, cap)) or len(loop.segments) > read + 1
-            if len(loop.segments) == read:      # cut at the cap
+            with _one_blas_thread():
+                segments, _, head = loop.send(min(read + 2, cap))
+            more = head is not None or len(segments) > read + 1
+            if len(segments) == read:           # cut at the cap
                 return
-            run = loop.segments[read:read + 1]
+            run = segments[read:read + 1]
             read += 1
             yield (run, *_norms_sq(self.response, run), more)
 
@@ -269,11 +271,14 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
         raise InvalidInputError("max_knots must be >= 1")
     if lam0 <= 0.0:
         return LassoPath(knots=np.empty(0), segments=[], design=X, response=y)
-    loop = _Homotopy(X, y, lam0)
-    truncated = loop.run(max_knots)
-    return LassoPath(knots=np.asarray(loop.knots),
-                     segments=loop.segments + ([loop.suspended] if truncated else []),
-                     truncated=truncated, degenerate=loop.degenerate, design=X, response=y,
+    loop = _event_loop(X, y, lam0, max_knots)
+    segments, degenerate, head = next(loop)
+    truncated = head is not None
+    if truncated:
+        # a copy: the continued loop sets the head's lo at its next knot
+        segments = segments + [replace(head)]
+    return LassoPath(knots=np.array([seg.hi for seg in segments]), segments=segments,
+                     truncated=truncated, degenerate=degenerate, design=X, response=y,
                      loop=loop if truncated else None)
 
 
@@ -281,31 +286,17 @@ def _default_max_knots(X: DesignMatrix) -> int:
     return 10 * min(X.n, X.p) + 10
 
 
-class _Homotopy:
-    """The event loop of one path, with the knots it has recorded and its
-    segments that no cap cuts short; run stops it at a knot cap, suspended
-    without a BLAS pin, and a later run continues it."""
-
-    def __init__(self, X: DesignMatrix, y: np.ndarray, lam0: float):
-        self.knots, self.segments, self.degenerate = [lam0], [], False
-        # the cap of the last run, and the segment of the loop head it stopped at
-        self.max_knots = self.suspended = None
-        self._loop = _event_loop(self, X, y, lam0)
-
-    def run(self, max_knots: int) -> bool:
-        """Continue to the end, or to the first loop head after max_knots
-        knots; returns whether events remain there."""
-        self.max_knots = max_knots
-        with _one_blas_thread():
-            return next(self._loop, False)
-
-
-def _event_loop(h: _Homotopy, X: DesignMatrix, y: np.ndarray, lam0: float) -> Iterator[bool]:
-    """The event loop; it records into h and waits at the cap h.max_knots."""
+def _event_loop(X: DesignMatrix, y: np.ndarray, lam0: float, max_knots: int) -> Generator:
+    """The event loop of one path.  At the first loop head after max_knots
+    knots it waits, yielding (segments, degenerate, head): its own growing
+    list of the segments no cap cuts short, the degenerate flag and the
+    waiting head's segment, whose lo is the floor.  A larger cap sent to it
+    continues; once finished it answers every cap with head None."""
     n, p = X.n, X.p
     Xm = X.entries
     lambda_floor = 1e-8 * lam0
-    knots, segments = h.knots, h.segments
+    segments: List[PathSegment] = []
+    degenerate = False
     active = np.empty(0, dtype=np.intp)   # active columns, in order of entry
     signs = np.empty(0)                   # their signs on the current segment
     # the same columns for the segments, which share their int objects
@@ -319,7 +310,6 @@ def _event_loop(h: _Homotopy, X: DesignMatrix, y: np.ndarray, lam0: float) -> It
     # columns whose event fired at the current knot; they may not fire again
     # at the same lambda (prevents add/drop cycling on simultaneous events)
     fired = np.zeros(p, dtype=bool)
-    fired_at_knot: List[int] = []
     trtrs = scipy.linalg.lapack.dtrtrs
     resid_slope = np.empty((2, n))    # rows y - fit and slope of the segment
 
@@ -335,36 +325,31 @@ def _event_loop(h: _Homotopy, X: DesignMatrix, y: np.ndarray, lam0: float) -> It
         else:
             a = b = np.zeros(0)
             slope = np.zeros(n)
+        head = PathSegment(hi=lam_cur, lo=lambda_floor, active=active_cols,
+                           a=a, b=b, fit=fit, slope=slope)
         np.subtract(y, fit, out=resid_slope[0])
         resid_slope[1] = slope
         u, w = (resid_slope @ Xm) / n
 
-        event = _next_event(u, w, a, b, active, enterable,
-                            fired if fired_at_knot else None, lam_cur, lambda_floor)
+        event = _next_event(u, w, a, b, active, enterable, fired, lam_cur, lambda_floor)
         # the cap is checked once the first event at the last knot has fired
-        while event is not None and fired_at_knot and len(knots) >= h.max_knots:
-            h.suspended = PathSegment(hi=lam_cur, lo=lambda_floor, active=active_cols,
-                                      a=a, b=b, fit=fit, slope=slope)
-            yield True
+        while event is not None and len(segments) + 1 >= max_knots and fired.any():
+            max_knots = yield segments, degenerate, head
         if event is None:
-            segments.append(PathSegment(hi=lam_cur, lo=lambda_floor, active=active_cols,
-                                        a=a, b=b, fit=fit, slope=slope))
+            segments.append(head)
             break
         lam_next, j_ev, sgn, tied = event
-        if tied:
-            h.degenerate = True
+        degenerate |= tied
 
         if lam_next < lam_cur * (1.0 - TIE_TOL):
-            segments.append(PathSegment(hi=lam_cur, lo=lam_next, active=active_cols,
-                                        a=a, b=b, fit=fit, slope=slope))
-            knots.append(lam_next)
+            head.lo = lam_next
+            segments.append(head)
             lam_cur = lam_next
-            fired[fired_at_knot] = False
-            fired_at_knot = []
-        elif fired_at_knot:
+            fired[:] = False
+        elif fired.any():
             # another event at the current knot: a zero-length segment, so
             # the active set is updated in place without recording a knot
-            h.degenerate = True
+            degenerate = True
         if sgn != 0.0:
             grown = np.append(active, j_ev)
             Q, R, independent = _insert_column(Q, R, Xm[:, j_ev],
@@ -376,7 +361,7 @@ def _event_loop(h: _Homotopy, X: DesignMatrix, y: np.ndarray, lam0: float) -> It
                 enterable[j_ev] = False
             else:
                 # X_j lies in the span of the active columns
-                h.degenerate = True
+                degenerate = True
         else:
             k = int(np.flatnonzero(active == j_ev)[0])
             Q, R = scipy.linalg.qr_delete(Q, R, k, which="col", check_finite=False)
@@ -386,11 +371,12 @@ def _event_loop(h: _Homotopy, X: DesignMatrix, y: np.ndarray, lam0: float) -> It
             signs = np.delete(signs, k)
             enterable[j_ev] = True
         fired[j_ev] = True
-        fired_at_knot.append(j_ev)
+    while True:
+        yield segments, degenerate, None
 
 
 def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
-                active: np.ndarray, enterable: np.ndarray, fired: Optional[np.ndarray],
+                active: np.ndarray, enterable: np.ndarray, fired: np.ndarray,
                 lam_cur: float, lambda_floor: float
                 ) -> Optional[Tuple[float, int, float, bool]]:
     """The homotopy's next event at or below lam_cur, or None if none is left.
@@ -399,8 +385,8 @@ def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
     enterable and the denominator is at least 1e-14 in magnitude; active
     column active[i] may drop at a_i / b_i if b_i != 0.  An event counts if
     its time is positive and lies in [lambda_floor, lam_cur * (1 + TIE_TOL)),
-    unless its column is marked in fired (None: no column fired at the
-    current knot) and its time is at least lam_cur * (1 - TIE_TOL).  Times
+    unless its column is marked in fired (the columns whose event fired at
+    the current knot) and its time is at least lam_cur * (1 - TIE_TOL).  Times
     are clamped to lam_cur, which must be at least lambda_floor.  The events
     within TIE_TOL of the latest are tied; of these the lowest column wins,
     its +1 entry before its -1 entry.  Returns (lambda, column, sign, tied):
@@ -422,10 +408,9 @@ def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
     np.divide(u, denom, out=t[:2 * p].reshape(2, p), where=ok)
     np.divide(a, b, out=t[2 * p:], where=b != 0.0)
     np.putmask(t, t >= upper, -np.inf)
-    if fired is not None:
-        refired = np.concatenate((fired, fired, fired[active]))
-        refired &= t >= lam_cur * (1.0 - TIE_TOL)
-        np.putmask(t, refired, -np.inf)
+    refired = np.concatenate((fired, fired, fired[active]))
+    refired &= t >= lam_cur * (1.0 - TIE_TOL)
+    np.putmask(t, refired, -np.inf)
     np.minimum(t, lam_cur, out=t)
     latest = t.max()
     if not latest >= low:

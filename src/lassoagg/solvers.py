@@ -10,8 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-# SUPPORT_THRESH is unused here; solvers.SUPPORT_THRESH is a public name for it
-from .design import SUPPORT_THRESH, as_design, as_response  # noqa: F401
+from .design import RANK_TOL, as_design, as_response
 from .errors import DegenerateVarianceError, InvalidInputError
 
 
@@ -110,9 +109,10 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
     past a knot cap, those of its continued homotopy, up to the root and
     within the default cap; a missing path, or one of other data
     (LassoPath.of), is started with one knot.  So the fit does not depend on
-    the path, and it is unconverged only when the default knot cap stops the
-    path above the root.  Raises DegenerateVarianceError when the residual
-    collapses.
+    the path, and it is unconverged only when the default knot cap or the
+    path's floor stops the path above the root.  Raises
+    DegenerateVarianceError when the residual collapses: the path ends above
+    the root with ||y - fit||^2 at most (RANK_TOL * ||y||)^2.
     """
     from .path import compute_path  # path imports this module
 
@@ -140,10 +140,10 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
                 break
             k += len(run)
         else:
-            if not more:
+            if not more and rr[-1] <= (RANK_TOL * np.linalg.norm(y)) ** 2:
                 raise DegenerateVarianceError(
                     "degenerate variance estimate: residual collapsed (interpolation regime)")
-            # the knot cap stops the path above the root: the fit at its last knot
+            # the knot cap or the floor stops the path above the root: the fit at its end
             seg, t, converged = run[-1], run[-1].lo, False
         t = min(max(t, seg.lo), seg.hi)
         beta, r = seg.beta(t, X.p), y - (seg.fit - t * seg.slope)

@@ -11,10 +11,10 @@ import lassoagg.pipelines
 import lassoagg.simulation
 from lassoagg.cli import (ParseError, canonical_json, load_matrix_csv,
                           load_vector_csv, main, save_matrix_csv)
+from lassoagg.design import SUPPORT_THRESH
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import _openblas_thread_controls, compute_path
 from lassoagg.simulation import _one_blas_thread, generate_instance
-from lassoagg.solvers import SUPPORT_THRESH
 from oracles import beta_at
 from test_simulation import _openblas_thread_counts
 
@@ -297,6 +297,18 @@ def test_unconverged_qp_exits_3(tmp_path, data_files, monkeypatch):
     results = json.loads(out.read_text())["results"]
     assert results["result"]["converged"] is False
     assert results.keys() == json.loads(ok.read_text())["results"].keys()
+
+
+def test_a_square_root_lasso_root_below_the_floor_exits_3(tmp_path):
+    # the roots at the smallest grid penalties lie below the path's floor,
+    # where the residual of this n > p design has not collapsed
+    inst = generate_instance(30, 20, 3, 1.0, seed=1)
+    xpath, ypath, out = (str(tmp_path / name) for name in ("x.csv", "y.csv", "r.json"))
+    save_matrix_csv(xpath, inst.X.entries)
+    save_matrix_csv(ypath, inst.y.reshape(-1, 1))
+    argv = ["sqrt-pipeline", "--x", xpath, "--y", ypath, "--lambda-min", "1e-8"]
+    assert main(argv + ["--out", out]) == 3
+    assert json.loads(open(out).read())["results"]["sigma_hat_sq"] > 0.0
 
 
 def test_threads_only_on_simulate(data_files):
@@ -617,41 +629,53 @@ def test_simulate_rejects_fewer_than_one_thread(monkeypatch, capsys, threads):
     assert _PoolSpy.started == []
 
 
+DATA = ["--x", "{x}", "--y", "{y}"]
+SIMULATE = ["simulate", "--n", "30", "--p", "40", "--s", "3", "--sigma", "1", "--reps", "2"]
 GOLDEN_RUNS = {
-    "aggregate_sqrt_lasso_max_knots_1": ["aggregate", "--sigma-mode", "sqrt_lasso",
+    "aggregate_sqrt_lasso_max_knots_1": ["aggregate", *DATA, "--sigma-mode", "sqrt_lasso",
                                          "--max-knots", "1"],
-    "aggregate_sqrt_lasso_max_knots_2": ["aggregate", "--sigma-mode", "sqrt_lasso",
+    "aggregate_sqrt_lasso_max_knots_2": ["aggregate", *DATA, "--sigma-mode", "sqrt_lasso",
                                          "--max-knots", "2"],
-    "aggregate_sqrt_lasso_max_knots_3": ["aggregate", "--sigma-mode", "sqrt_lasso",
+    "aggregate_sqrt_lasso_max_knots_3": ["aggregate", *DATA, "--sigma-mode", "sqrt_lasso",
                                          "--max-knots", "3"],
-    "aggregate_sqrt_lasso": ["aggregate", "--sigma-mode", "sqrt_lasso"],
-    "path_max_knots_2": ["path", "--max-knots", "2"],
-    "sqrt_pipeline_crit": ["sqrt-pipeline", "--method", "crit"],
+    "aggregate_sqrt_lasso": ["aggregate", *DATA, "--sigma-mode", "sqrt_lasso"],
+    "aggregate_crit_sigma_1": ["aggregate", *DATA, "--method", "crit", "--sigma", "1"],
+    "path_max_knots_2": ["path", *DATA, "--max-knots", "2"],
+    "path_max_knots_3_path_csv": ["path", *DATA, "--max-knots", "3", "--path-csv", "{csv}"],
+    "sqrt_pipeline_crit": ["sqrt-pipeline", *DATA, "--method", "crit"],
+    "simulate_soi_path": [*SIMULATE, "--bound", "soi_path"],
+    "simulate_oi_supports_crit_sqrt_lasso": [*SIMULATE, "--bound", "oi_supports",
+                                             "--method", "crit", "--sigma-mode", "sqrt_lasso"],
 }
 
 
 def _golden_results(tmp_path):
-    """Exit code and canonical results bytes of each GOLDEN_RUNS command on
-    one fixed (30, 20) instance, whose square-root-Lasso root at the
-    universal penalty lies on segment 6 of its path."""
+    """Exit code and canonical results bytes of each GOLDEN_RUNS command,
+    followed by the text of its --path-csv file if it writes one.  The data
+    commands read one fixed (30, 20) instance, whose square-root-Lasso root
+    at the universal penalty lies on segment 6 of its path."""
     rng = np.random.default_rng(0)
     Xm = 3.0 * rng.standard_normal((30, 20))
     beta = np.zeros(20)
     beta[:5] = [3.0, -2.0, 1.5, -1.0, 0.5]
     y = Xm @ beta + 0.5 * rng.standard_normal(30)
-    xpath, ypath = str(tmp_path / "gx.csv"), str(tmp_path / "gy.csv")
-    save_matrix_csv(xpath, Xm)
-    save_matrix_csv(ypath, y.reshape(-1, 1))
+    files = {"x": str(tmp_path / "gx.csv"), "y": str(tmp_path / "gy.csv"),
+             "csv": str(tmp_path / "path.csv")}
+    save_matrix_csv(files["x"], Xm)
+    save_matrix_csv(files["y"], y.reshape(-1, 1))
     found = {}
     for name, argv in GOLDEN_RUNS.items():
         out = tmp_path / f"{name}.json"
-        code = main([argv[0], "--x", xpath, "--y", ypath, *argv[1:], "--out", str(out)])
+        code = main([a.format(**files) for a in argv] + ["--out", str(out)])
         found[name] = [code, canonical_json(json.loads(out.read_text())["results"])]
+        if "{csv}" in argv:
+            with open(files["csv"], newline="") as fh:
+                found[name].append(fh.read())
     return found
 
 
 def test_results_match_the_golden_bytes(tmp_path):
-    # expected bytes written by the code before the homotopy became resumable
+    # expected bytes written by the code before each refactor of the homotopy
     golden = os.path.join(os.path.dirname(__file__), "golden_results.json")
     with open(golden) as fh:
         expected = json.load(fh)

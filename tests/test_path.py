@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import lassoagg.path
-from lassoagg.design import RANK_TOL, DesignMatrix, Support
+from lassoagg.design import RANK_TOL, SUPPORT_THRESH, DesignMatrix, Support
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import (SupportFamily, _one_blas_thread, _openblas_thread_controls,
                            compute_path, path_support_family)
 from lassoagg.simulation import generate_instance
-from lassoagg.solvers import SUPPORT_THRESH, lasso_cd, sqrt_lasso
+from lassoagg.solvers import lasso_cd, sqrt_lasso
 from oracles import beta_at, grid_support_family, kkt_check
 from test_simulation import _openblas_thread_counts
 

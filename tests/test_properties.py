@@ -22,14 +22,13 @@ from hypothesis.extra.numpy import arrays
 import lassoagg.cli
 from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
 from lassoagg.cli import load_matrix_csv, load_vector_csv, save_matrix_csv
-from lassoagg.design import Support, project
+from lassoagg.design import SUPPORT_THRESH, Support, project
 from lassoagg.errors import DegenerateVarianceError
-from lassoagg.path import (TIE_TOL, LassoPath, SupportFamily, _next_event, compute_path,
-                           path_support_family)
+from lassoagg.path import (TIE_TOL, LassoPath, SupportFamily, _next_event, _one_blas_thread,
+                           compute_path, path_support_family)
 from lassoagg.pipelines import sqrt_lasso_pipeline
 from lassoagg.simulation import generate_instance
-from lassoagg.solvers import (SUPPORT_THRESH, lasso_cd, sqrt_lasso,
-                              sqrt_lasso_universal_lambda)
+from lassoagg.solvers import lasso_cd, sqrt_lasso, sqrt_lasso_universal_lambda
 from oracles import grid_support_family
 from test_solvers import path_bytes
 
@@ -125,13 +124,15 @@ def test_a_continued_path_is_the_uncapped_path(data, max_knots):
         assert path_bytes(capped) == path_bytes(full)
         return
     before = path_bytes(capped)
-    loop = capped.loop
     # continued to the default cap, the loop has recorded the uncapped path
-    truncated = loop.run(10 * min(X.shape) + 10)
-    continued = LassoPath(knots=np.asarray(loop.knots),
-                          segments=loop.segments + ([loop.suspended] if truncated else []),
-                          truncated=truncated, degenerate=loop.degenerate,
+    with _one_blas_thread():
+        segments, degenerate, head = capped.loop.send(10 * min(X.shape) + 10)
+    segments = segments + ([head] if head is not None else [])
+    continued = LassoPath(knots=np.array([seg.hi for seg in segments]), segments=segments,
+                          truncated=head is not None, degenerate=degenerate,
                           design=full.design, response=full.response)
+    for path in (full, capped, continued):
+        assert path.knots.tolist() == [seg.hi for seg in path.segments]
     assert path_bytes(continued) == path_bytes(full)
     # continuing the loop leaves the capped path as it was
     assert path_bytes(capped) == before
@@ -185,7 +186,6 @@ def test_segment_fitted_values_equal_x_beta(data):
 def _candidate_list_event(u, w, a, b, active, enterable, fired, lam_cur, lambda_floor):
     """The homotopy's event search as a list of candidates, in the order of
     the tie rules, kept as the reference for _next_event."""
-    fired = np.zeros(w.size, dtype=bool) if fired is None else fired
     upper = lam_cur * (1.0 + TIE_TOL)
     at_knot = lam_cur * (1.0 - TIE_TOL)
 
@@ -241,7 +241,8 @@ def event_searches(draw):
                                                   min_size=k, max_size=k)))
     a = np.where(b != 0.0, drop_times * b,
                  draw(st.sampled_from([0.0, 1.0, -1.0])))
-    fired = draw(st.none() | st.lists(st.booleans(), min_size=p, max_size=p).map(np.array))
+    # an all-False draw is the first loop head, where no event has fired yet
+    fired = np.array(draw(st.lists(st.booleans(), min_size=p, max_size=p)), dtype=bool)
     lambda_floor = lam_cur * draw(st.sampled_from([0.0, 1e-8, 0.25, 1.0]))
     return u, w, a, b, active, enterable, fired, lam_cur, lambda_floor
 

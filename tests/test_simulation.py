@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import lassoagg.simulation
-from lassoagg.design import Support, project
+from lassoagg.design import SUPPORT_THRESH, Support, project
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import _openblas_thread_controls, compute_path
 from lassoagg.pipelines import path_aggregate
 from lassoagg.simulation import (OI, SOI, TrialConfig, _one_blas_thread, generate_instance,
                                  monte_carlo, oracle_bound, run_oracle_trial)
-from lassoagg.solvers import SUPPORT_THRESH, sqrt_lasso, sqrt_lasso_universal_lambda
+from lassoagg.solvers import sqrt_lasso, sqrt_lasso_universal_lambda
 from lassoagg.weights import log_inv_weight
 from oracles import exhaustive_spa
 

@@ -6,6 +6,7 @@ import pytest
 import lassoagg.path
 from lassoagg.design import DesignMatrix
 from lassoagg.errors import DegenerateVarianceError, InvalidInputError
+from lassoagg.simulation import generate_instance
 from lassoagg.solvers import lasso_cd, sqrt_lasso, sqrt_lasso_universal_lambda
 from oracles import kkt_check, lasso_cd_unshortened
 
@@ -146,6 +147,25 @@ def test_sqrt_lasso_scalar_interpolation_is_degenerate():
     X = DesignMatrix([[1.0]])
     with pytest.raises(DegenerateVarianceError):
         sqrt_lasso(X, np.array([3.0]), 0.5)
+
+
+def test_sqrt_lasso_fits_at_the_floor_when_the_root_lies_below_it():
+    # all 20 columns enter with n = 30, so the residual keeps ||y - fit|| = 3.23
+    # down to the floor 1.22e-8; the root, about 5.9e-9, lies below it
+    inst = generate_instance(30, 20, 3, 1.0, seed=1)
+    path = lassoagg.path.compute_path(inst.X, inst.y)
+    last = path.segments[-1]
+    assert not path.truncated and len(last.active) == 20
+    fit = sqrt_lasso(inst.X, inst.y, 1e-8, path=path)
+    assert not fit.converged and fit.iterations == len(path.segments)
+    assert np.array_equal(fit.beta, last.beta(last.lo, 20))
+    resid = float(np.linalg.norm(inst.y - (last.fit - last.lo * last.slope)))
+    assert resid == pytest.approx(3.23, abs=0.01)
+    assert fit.sigma_hat_sq == pytest.approx(resid ** 2 / 30, rel=1e-12)
+    # with p > n the residual collapses at the floor
+    wide = generate_instance(15, 40, 3, 1.0, seed=1)
+    with pytest.raises(DegenerateVarianceError, match="residual collapsed"):
+        sqrt_lasso(wide.X, wide.y, 1e-8)
 
 
 def test_sqrt_lasso_zero_response_is_degenerate():
