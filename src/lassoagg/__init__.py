@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .design import DesignMatrix, Support, project
 from .errors import DegenerateVarianceError, InvalidInputError
 from .weights import log_inv_weight, total_mass, verify_weight_bounds, weight_table
-from .solvers import LassoFit, SqrtLassoFit, lasso_cd, sqrt_lasso, sqrt_lasso_universal_lambda
+from .solvers import SqrtLassoFit, sqrt_lasso, sqrt_lasso_universal_lambda
 from .path import LassoPath, SupportFamily, compute_path, path_support_family
 from .aggregation import (CritResult, PrecomputedFits, QAggResult, SimplexWeights,
                           crit_select, crit_value, precompute, q_aggregate)

@@ -32,11 +32,8 @@ class PrecomputedFits:
     fitted_vectors: np.ndarray     # n x M, column j = P_{T_j} y
     gram: np.ndarray               # M x M, fitted_vectors^T fitted_vectors
     y_dot: np.ndarray              # length M, fitted_vectors^T y
-    fit_norms_sq: np.ndarray       # diag of gram
     log_inv_weights: np.ndarray    # log(1/weight) per support
     y_norm_sq: float
-    n: int
-    p: int
 
     @property
     def size(self) -> int:
@@ -86,17 +83,13 @@ def precompute(X, y, family: SupportFamily) -> PrecomputedFits:
     carried = family.path.fits if family.path is not None and family.path.of(X, y) else {}
     F = np.column_stack([carried[T.indices] if T.indices in carried
                          else project(X, T, y).fitted for T in family])
-    gram = F.T @ F
     return PrecomputedFits(
         family=family,
         fitted_vectors=F,
-        gram=gram,
+        gram=F.T @ F,
         y_dot=F.T @ y,
-        fit_norms_sq=np.diag(gram).copy(),
         log_inv_weights=log_inv_weights(X.p, [T.size for T in family]),
         y_norm_sq=float(y @ y),
-        n=X.n,
-        p=X.p,
     )
 
 
@@ -123,8 +116,9 @@ def crit_select(pre: PrecomputedFits, sigma_hat_sq: float) -> CritResult:
     """
     sigma_hat_sq = _clamp_sigma(sigma_hat_sq)
     best = None
+    fit_norms_sq = np.diag(pre.gram)
     for j, T in enumerate(pre.family):
-        resid_sq = max(pre.y_norm_sq - pre.fit_norms_sq[j], 0.0)
+        resid_sq = max(pre.y_norm_sq - fit_norms_sq[j], 0.0)
         val = crit_value(resid_sq, pre.log_inv_weights[j], sigma_hat_sq)
         key = (val, T.size, T.indices)
         if best is None or key < best[0]:
@@ -136,7 +130,7 @@ def crit_select(pre: PrecomputedFits, sigma_hat_sq: float) -> CritResult:
 
 
 def _linear_coeffs(pre: PrecomputedFits, sigma_hat_sq: float) -> np.ndarray:
-    return (-2.0 * pre.y_dot + 0.5 * pre.fit_norms_sq
+    return (-2.0 * pre.y_dot + 0.5 * np.diag(pre.gram)
             + Q_PENALTY * sigma_hat_sq * pre.log_inv_weights)
 
 

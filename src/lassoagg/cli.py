@@ -196,7 +196,7 @@ def write_report(config: dict, results: dict, environment_extra: Optional[dict],
 def _pipeline_results(report: PipelineReport) -> dict:
     res = {
         "family": report.family,
-        "sigma_hat_sq": report.sigma_hat_sq,
+        "sigma_hat_sq": report.result.sigma_hat_sq_used,
         "method": report.method,
         "result": report.result,
     }
@@ -344,7 +344,7 @@ def _cmd_weights(args):
     p = args.p
     results = {
         "p": p,
-        "log_inv_weight_by_size": weight_table(p).log_inv_weight_by_size,
+        "log_inv_weight_by_size": weight_table(p),
         "bounds_hold": verify_weight_bounds(p) if p <= 64 else None,
         "total_mass": total_mass(p) if p <= 30 else None,
     }

@@ -61,11 +61,9 @@ class PathSegment:
 
 @dataclass
 class LassoPath:
-    knots: np.ndarray                  # strictly decreasing, knots[0] = lambda_0
     segments: List[PathSegment]        # segment k covers (knots[k+1], knots[k])
     design: DesignMatrix = field(repr=False)      # the data the path was computed from
     response: np.ndarray = field(repr=False)
-    truncated: bool = False
     degenerate: bool = False
     # the suspended event loop of a truncated path
     loop: Optional[Generator] = field(default=None, repr=False, compare=False)
@@ -73,6 +71,15 @@ class LassoPath:
     @property
     def p(self) -> int:
         return self.design.p
+
+    @cached_property
+    def knots(self) -> np.ndarray:
+        """The segments' upper ends: strictly decreasing, knots[0] = lambda_0."""
+        return np.array([seg.hi for seg in self.segments])
+
+    @property
+    def truncated(self) -> bool:
+        return self.loop is not None
 
     @property
     def lambda0(self) -> float:
@@ -178,9 +185,6 @@ class SupportFamily:
     # and projects the supports that it has no fit for
     path: Optional[LassoPath] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        self._keys = {T.indices for T in self.supports}
-
     @classmethod
     def from_supports(cls, supports: Sequence[Support], source: str = "external",
                       include_empty: bool = True) -> "SupportFamily":
@@ -194,9 +198,6 @@ class SupportFamily:
 
     def __iter__(self):
         return iter(self.supports)
-
-    def __contains__(self, T):
-        return isinstance(T, Support) and T.indices in self._keys
 
 
 @lru_cache(maxsize=None)
@@ -270,16 +271,14 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     if max_knots < 1:
         raise InvalidInputError("max_knots must be >= 1")
     if lam0 <= 0.0:
-        return LassoPath(knots=np.empty(0), segments=[], design=X, response=y)
+        return LassoPath(segments=[], design=X, response=y)
     loop = _event_loop(X, y, lam0, max_knots)
     segments, degenerate, head = next(loop)
-    truncated = head is not None
-    if truncated:
-        # a copy: the continued loop sets the head's lo at its next knot
-        segments = segments + [replace(head)]
-    return LassoPath(knots=np.array([seg.hi for seg in segments]), segments=segments,
-                     truncated=truncated, degenerate=degenerate, design=X, response=y,
-                     loop=loop if truncated else None)
+    if head is None:
+        return LassoPath(segments=segments, degenerate=degenerate, design=X, response=y)
+    # a copy: the continued loop sets the head's lo at its next knot
+    return LassoPath(segments=segments + [replace(head)], degenerate=degenerate,
+                     design=X, response=y, loop=loop)
 
 
 def _default_max_knots(X: DesignMatrix) -> int:

@@ -5,6 +5,7 @@ the square-root Lasso, its grid fits and their least-squares fits."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
@@ -22,14 +23,12 @@ from .solvers import sqrt_lasso, sqrt_lasso_universal_lambda
 @dataclass
 class PipelineReport:
     family: SupportFamily
-    sigma_hat_sq: float
     method: str
     result: Union[QAggResult, CritResult]
     path_meta: dict = field(default_factory=dict)
     grid_meta: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
     fits_converged: bool = True     # every square-root-Lasso fit converged
-    path: Optional[LassoPath] = field(default=None, repr=False)   # the path computed
 
 
 def aggregate(pre: PrecomputedFits, sigma_hat_sq: float,
@@ -108,9 +107,9 @@ def _aggregate_report(X, y, family: SupportFamily, sigma_hat_sq: float, method: 
     t1 = time.perf_counter()
     result = aggregate(precompute(X, y, family), sigma_hat_sq, method)
     t2 = time.perf_counter()
-    return PipelineReport(family=family, sigma_hat_sq=result.sigma_hat_sq_used, method=method,
-                          result=result, timing={stage: t1 - t0, "aggregate_s": t2 - t1},
-                          fits_converged=fits_converged, path=family.path, **meta)
+    return PipelineReport(family=family, method=method, result=result,
+                          timing={stage: t1 - t0, "aggregate_s": t2 - t1},
+                          fits_converged=fits_converged, **meta)
 
 
 def geometric_grid(lambda_min: float, lambda_max: float, M: int,
@@ -120,13 +119,16 @@ def geometric_grid(lambda_min: float, lambda_max: float, M: int,
     "spanning" places lambda_j = lmin*(lmax/lmin)^((j-1)/(M-1)), covering
     [lambda_min, lambda_max] endpoint to endpoint.  "paper-literal" uses the
     exponent ((j-1)/M - 1), provided as a compatibility mode; it produces
-    values at or below lambda_min.
+    values at or below lambda_min.  The ratio lambda_max / lambda_min must
+    be finite.
     """
     if not 0 < lambda_min < lambda_max:
         raise InvalidInputError("need 0 < lambda_min < lambda_max")
     if M < 2:
         raise InvalidInputError("grid size M must be >= 2")
     ratio = lambda_max / lambda_min
+    if not math.isfinite(ratio):
+        raise InvalidInputError("lambda_max / lambda_min is not finite")
     if mode == "spanning":
         return [lambda_min * ratio ** ((j - 1) / (M - 1)) for j in range(1, M + 1)]
     if mode == "paper-literal":
@@ -155,9 +157,10 @@ def sqrt_lasso_pipeline(X, y, lambda_min: Optional[float] = None, M: int = 20,
     t0 = time.perf_counter()
     # variance estimate at the universal penalty (largest grid value or above)
     path, sigma_hat_sq, sigma_converged = _path_and_variance(X, y, None)
-    fits = [sqrt_lasso(X, y, lam, path=path) for lam in sorted(grid, reverse=True)]
-    converged = [fit.converged for fit in fits]
-    family = SupportFamily.from_supports([Support.from_beta(fit.beta) for fit in fits],
+    # fitted from the largest penalty down, the order of the family
+    fits = {lam: sqrt_lasso(X, y, lam, path=path) for lam in sorted(grid, reverse=True)}
+    converged = [fits[lam].converged for lam in grid]
+    family = SupportFamily.from_supports([Support.from_beta(fit.beta) for fit in fits.values()],
                                          source="grid")
     family.path = path
     grid_meta = {

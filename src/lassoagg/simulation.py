@@ -28,22 +28,12 @@ class SimInstance:
     beta_star: np.ndarray
     mu: np.ndarray
     y: np.ndarray
-    sigma: float
-    seed: int
-    design_kind: str
-    rho: float = 0.0
-
-    @property
-    def n(self):
-        return self.X.n
-
-    @property
-    def p(self):
-        return self.X.p
 
 
 def _rng(seed: int) -> np.random.Generator:
     # counter-based generator: identical streams regardless of platform/order
+    if not 0 <= seed < 2 ** 128:
+        raise InvalidInputError("seed must be in [0, 2**128)")
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -53,7 +43,8 @@ def generate_instance(n: int, p: int, s: int, sigma: float,
     """Random sparse instance with columns scaled to diag(X^T X / n) = 1.
 
     beta_star has s entries equal to +-1 at random positions; noise is iid
-    Gaussian(0, sigma^2).
+    Gaussian(0, sigma^2).  The seed, a key of the Philox generator, must lie
+    in [0, 2**128).
     """
     if n < 1 or p < 1:
         raise InvalidInputError("design matrix must have n >= 1 and p >= 1")
@@ -87,9 +78,7 @@ def generate_instance(n: int, p: int, s: int, sigma: float,
         beta_star[pos] = rng.choice([-1.0, 1.0], size=s)
     mu = Xm @ beta_star
     xi = sigma * rng.standard_normal(n)
-    return SimInstance(X=DesignMatrix(Xm), beta_star=beta_star, mu=mu,
-                       y=mu + xi, sigma=float(sigma), seed=int(seed),
-                       design_kind=design_kind, rho=float(rho))
+    return SimInstance(X=DesignMatrix(Xm), beta_star=beta_star, mu=mu, y=mu + xi)
 
 
 # Constants (f, c0, c1, tail) of an oracle bound: min over candidates T of
@@ -118,10 +107,12 @@ def oracle_bound(consts, biases, sizes, sigma_hat_sq: float, sigma_sq: float,
 class OracleCheck:
     lhs: float
     rhs: float
-    x_level: float
-    held: bool
     minimizing_term: str
     sigma_hat_sq: float
+
+    @property
+    def held(self) -> bool:
+        return self.lhs <= self.rhs
 
 
 @dataclass
@@ -145,6 +136,8 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
     oracle-inequality bound."""
     if config.sigma_mode not in ("known", "sqrt_lasso"):
         raise InvalidInputError(f"unknown sigma mode {config.sigma_mode!r}")
+    if config.bound not in ("soi_path", "soi_supports", "oi_supports"):
+        raise InvalidInputError(f"unknown bound {config.bound!r}")
     with _one_blas_thread():
         inst = generate_instance(config.n, config.p, config.s, config.sigma,
                                  design_kind=config.design_kind, seed=config.seed,
@@ -154,31 +147,28 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
         sigma_sq = config.sigma ** 2
         report = path_aggregate(X, inst.y, sigma_sq if config.sigma_mode == "known" else None,
                                 method=config.method)
-        sigma_hat_sq = report.sigma_hat_sq
+        sigma_hat_sq = report.result.sigma_hat_sq_used
         lhs = float(np.sum((report.result.mu_hat - mu) ** 2)) / n
 
         if config.bound == "soi_path":
             # min over lambda: beta = 0 for lambda >= lambda_0, then the knots
             # below lambda_0 and the segment midpoints, each read off the
             # segment that covers it
-            path = report.path
+            path = report.family.path
             points = (path.knot_segments()[1:]
                       + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
             losses, sizes = path.losses_and_sizes(points, mu)
             rhs, j = oracle_bound(SOI, [float(np.sum(mu ** 2)) / n] + losses.tolist(),
                                   [0] + sizes.tolist(), sigma_hat_sq, sigma_sq, config.x, n, p)
             minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
-        elif config.bound in ("soi_supports", "oi_supports"):
+        else:
             family = report.family
             biases = [float(np.sum(project(X, T, mu).residual ** 2)) / n for T in family]
             rhs, j = oracle_bound(SOI if config.bound == "soi_supports" else OI, biases,
                                   [T.size for T in family], sigma_hat_sq, sigma_sq, config.x, n, p)
             minimizing = f"T={family.supports[j].one_based()}"
-        else:
-            raise InvalidInputError(f"unknown bound {config.bound!r}")
 
-    return OracleCheck(lhs=lhs, rhs=rhs, x_level=config.x, held=lhs <= rhs,
-                       minimizing_term=minimizing, sigma_hat_sq=sigma_hat_sq)
+    return OracleCheck(lhs=lhs, rhs=rhs, minimizing_term=minimizing, sigma_hat_sq=sigma_hat_sq)
 
 
 def worker_processes(parallelism: int, reps: int) -> int:
@@ -206,6 +196,8 @@ def monte_carlo(config: TrialConfig, reps: int, parallelism: int = 1) -> dict:
         raise InvalidInputError("reps must be >= 1")
     if parallelism < 1:
         raise InvalidInputError("parallelism (--threads) must be >= 1")
+    if not 0 <= config.seed <= 2 ** 128 - reps:
+        raise InvalidInputError("the seeds seed, ..., seed + reps - 1 must be in [0, 2**128)")
     configs = [dataclasses.replace(config, seed=config.seed + i) for i in range(reps)]
     workers = worker_processes(parallelism, reps)
     if workers:

@@ -17,7 +17,6 @@ from .errors import DegenerateVarianceError, InvalidInputError
 @dataclass
 class LassoFit:
     beta: np.ndarray
-    lam: float
     duality_gap: float
     iterations: int
     converged: bool
@@ -26,7 +25,6 @@ class LassoFit:
 @dataclass
 class SqrtLassoFit:
     beta: np.ndarray
-    lam: float
     sigma_hat_sq: float
     iterations: int
     converged: bool
@@ -93,10 +91,10 @@ def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000,
                 r -= bj_new * col
         gap = _duality_gap(n, lam, beta, r, Xm.T @ r)
         if gap <= tol:
-            return LassoFit(beta=beta, lam=lam, duality_gap=gap, iterations=it, converged=True)
+            return LassoFit(beta=beta, duality_gap=gap, iterations=it, converged=True)
         if (beta.tobytes(), r.tobytes()) == before:
             break
-    return LassoFit(beta=beta, lam=lam, duality_gap=gap, iterations=it, converged=False)
+    return LassoFit(beta=beta, duality_gap=gap, iterations=it, converged=False)
 
 
 def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
@@ -148,8 +146,8 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
         t = min(max(t, seg.lo), seg.hi)
         beta, r = seg.beta(t, X.p), y - (seg.fit - t * seg.slope)
     sigma = float(np.linalg.norm(r)) / math.sqrt(X.n)
-    return SqrtLassoFit(beta=beta, lam=lam, sigma_hat_sq=sigma * sigma,
-                        iterations=k, converged=converged)
+    return SqrtLassoFit(beta=beta, sigma_hat_sq=sigma * sigma, iterations=k,
+                        converged=converged)
 
 
 def sqrt_lasso_universal_lambda(n: int, p: int) -> float:

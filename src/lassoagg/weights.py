@@ -8,7 +8,6 @@ downstream; the weights themselves underflow for moderate p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -42,17 +41,11 @@ def log_inv_weight(p: int, k: int) -> float:
     return float(log_inv_weights(p, k))
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    p: int
-    log_H_p: float
-    log_inv_weight_by_size: np.ndarray  # entry k = log(1/weight) for |T| = k
-
-
-def weight_table(p: int) -> WeightTable:
+def weight_table(p: int) -> np.ndarray:
+    """Read-only array whose entry k is log(1/weight) for |T| = k, k = 0..p."""
     table = log_inv_weights(p, np.arange(p + 1))
     table.setflags(write=False)
-    return WeightTable(p=p, log_H_p=log_hp(p), log_inv_weight_by_size=table)
+    return table
 
 
 def verify_weight_bounds(p: int) -> bool:
@@ -72,6 +65,6 @@ def total_mass(p: int) -> float:
     if not 1 <= p <= 30:
         raise InvalidInputError("total_mass is a test utility for 1 <= p <= 30")
     ks = np.arange(p + 1)
-    tbl = weight_table(p).log_inv_weight_by_size
+    tbl = weight_table(p)
     # C(p,k) supports of size k, each of weight exp(-log_inv_weight).
     return float(np.exp(logsumexp(log_binomial(p, ks) - tbl)))

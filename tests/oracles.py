@@ -77,8 +77,8 @@ def lasso_cd_unshortened(X, y, lam: float, tol: float, max_iter: int) -> LassoFi
                 r -= bj_new * col
         gap = _duality_gap(n, lam, beta, r, Xm.T @ r)
         if gap <= tol:
-            return LassoFit(beta=beta, lam=lam, duality_gap=gap, iterations=it, converged=True)
-    return LassoFit(beta=beta, lam=lam, duality_gap=gap, iterations=it, converged=False)
+            return LassoFit(beta=beta, duality_gap=gap, iterations=it, converged=True)
+    return LassoFit(beta=beta, duality_gap=gap, iterations=it, converged=False)
 
 
 def beta_at(path: LassoPath, lam: float) -> np.ndarray:

@@ -32,7 +32,7 @@ def _simplex_grid_min(pre, s2, step=1e-3):
     t2 = [np.arange(0.0, 1.0 - t + step / 2, step) for t in t1]
     T1, T2 = np.repeat(t1, [t.size for t in t2]), np.concatenate(t2)
     theta = np.column_stack((T1, T2, 1.0 - T1 - T2))
-    c = -2.0 * pre.y_dot + 0.5 * pre.fit_norms_sq + 26.0 * s2 * pre.log_inv_weights
+    c = -2.0 * pre.y_dot + 0.5 * np.diag(pre.gram) + 26.0 * s2 * pre.log_inv_weights
     values = 0.5 * np.einsum("ij,jk,ik->i", theta, pre.gram, theta) + theta @ c
     return q_objective(theta[np.argmin(values)], pre, s2)
 
@@ -112,7 +112,7 @@ def test_criterion_04_qp_matches_brute_force():
                                            include_empty=False)
         pre2 = precompute(DesignMatrix(Xm), y, fam2)
         res2 = q_aggregate(pre2, s2)
-        G, c = pre2.gram, (-2.0 * pre2.y_dot + 0.5 * pre2.fit_norms_sq
+        G, c = pre2.gram, (-2.0 * pre2.y_dot + 0.5 * np.diag(pre2.gram)
                            + 26.0 * s2 * pre2.log_inv_weights)
         A = 0.5 * (G[0, 0] - 2 * G[0, 1] + G[1, 1])
         B = G[0, 1] - G[1, 1] + c[0] - c[1]

@@ -27,7 +27,7 @@ def simplex_grid_min(pre, s2, step=1e-3):
     t2 = [np.arange(0.0, 1.0 - t + step / 2, step) for t in t1]
     T1, T2 = np.repeat(t1, [t.size for t in t2]), np.concatenate(t2)
     theta = np.column_stack((T1, T2, 1.0 - T1 - T2))
-    c = -2.0 * pre.y_dot + 0.5 * pre.fit_norms_sq + 26.0 * s2 * pre.log_inv_weights
+    c = -2.0 * pre.y_dot + 0.5 * np.diag(pre.gram) + 26.0 * s2 * pre.log_inv_weights
     values = 0.5 * np.einsum("ij,jk,ik->i", theta, pre.gram, theta) + theta @ c
     return q_objective(theta[np.argmin(values)], pre, s2)
 
@@ -188,7 +188,7 @@ def test_q_aggregate_two_atoms_matches_1d_closed_form():
     s2 = 0.4
     res = q_aggregate(pre, s2)
     # H((t, 1-t)) = A t^2 + B t + C; minimize over [0, 1] in closed form
-    G, c = pre.gram, (-2.0 * pre.y_dot + 0.5 * pre.fit_norms_sq
+    G, c = pre.gram, (-2.0 * pre.y_dot + 0.5 * np.diag(pre.gram)
                       + 26.0 * s2 * pre.log_inv_weights)
     A = 0.5 * (G[0, 0] - 2 * G[0, 1] + G[1, 1])
     B = G[0, 1] - G[1, 1] + c[0] - c[1]

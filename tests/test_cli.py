@@ -469,6 +469,24 @@ def test_weights_command_stdout(capsys):
     assert len(report["results"]["log_inv_weight_by_size"]) == 7
 
 
+@pytest.mark.parametrize("seed, reps", [("-1", "2"), (str(2 ** 128 - 1), "2"),
+                                        (str(2 ** 128), "1")])
+def test_simulate_rejects_seeds_outside_the_philox_keys(seed, reps, capsys):
+    code = main(["simulate", "--n", "20", "--p", "30", "--s", "2", "--sigma", "1",
+                 "--reps", reps, "--seed", seed])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInputError" and "2**128" in err["message"]
+
+
+def test_sqrt_pipeline_rejects_a_grid_whose_ratio_overflows(data_files, capsys):
+    xpath, ypath, *_ = data_files
+    code = main(["sqrt-pipeline", "--x", xpath, "--y", ypath, "--lambda-min", "1e-320"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInputError" and "not finite" in err["message"]
+
+
 @pytest.mark.parametrize("x_level", ["0", "-5"])
 @pytest.mark.parametrize("bound", ["soi_path", "soi_supports", "oi_supports"])
 def test_simulate_rejects_nonpositive_x(x_level, bound, capsys):
@@ -640,12 +658,16 @@ GOLDEN_RUNS = {
                                          "--max-knots", "3"],
     "aggregate_sqrt_lasso": ["aggregate", *DATA, "--sigma-mode", "sqrt_lasso"],
     "aggregate_crit_sigma_1": ["aggregate", *DATA, "--method", "crit", "--sigma", "1"],
+    "aggregate_q_sigma_1_max_knots_4": ["aggregate", *DATA, "--sigma", "1", "--max-knots", "4"],
     "path_max_knots_2": ["path", *DATA, "--max-knots", "2"],
     "path_max_knots_3_path_csv": ["path", *DATA, "--max-knots", "3", "--path-csv", "{csv}"],
+    "path_zero_response": ["path", "--x", "{x}", "--y", "{zero}"],
     "sqrt_pipeline_crit": ["sqrt-pipeline", *DATA, "--method", "crit"],
     "simulate_soi_path": [*SIMULATE, "--bound", "soi_path"],
+    "simulate_soi_supports": [*SIMULATE, "--bound", "soi_supports"],
     "simulate_oi_supports_crit_sqrt_lasso": [*SIMULATE, "--bound", "oi_supports",
                                              "--method", "crit", "--sigma-mode", "sqrt_lasso"],
+    "weights_p_6": ["weights", "--p", "6"],
 }
 
 
@@ -653,16 +675,18 @@ def _golden_results(tmp_path):
     """Exit code and canonical results bytes of each GOLDEN_RUNS command,
     followed by the text of its --path-csv file if it writes one.  The data
     commands read one fixed (30, 20) instance, whose square-root-Lasso root
-    at the universal penalty lies on segment 6 of its path."""
+    at the universal penalty lies on segment 6 of its path, or its design
+    with a zero response."""
     rng = np.random.default_rng(0)
     Xm = 3.0 * rng.standard_normal((30, 20))
     beta = np.zeros(20)
     beta[:5] = [3.0, -2.0, 1.5, -1.0, 0.5]
     y = Xm @ beta + 0.5 * rng.standard_normal(30)
     files = {"x": str(tmp_path / "gx.csv"), "y": str(tmp_path / "gy.csv"),
-             "csv": str(tmp_path / "path.csv")}
+             "zero": str(tmp_path / "g0.csv"), "csv": str(tmp_path / "path.csv")}
     save_matrix_csv(files["x"], Xm)
     save_matrix_csv(files["y"], y.reshape(-1, 1))
+    save_matrix_csv(files["zero"], np.zeros((30, 1)))
     found = {}
     for name, argv in GOLDEN_RUNS.items():
         out = tmp_path / f"{name}.json"

@@ -11,7 +11,7 @@ from lassoagg.path import SupportFamily
 from lassoagg.pipelines import (aggregate, geometric_grid, path_aggregate,
                                 sqrt_lasso_pipeline)
 from lassoagg.simulation import generate_instance
-from lassoagg.solvers import sqrt_lasso_universal_lambda
+from lassoagg.solvers import sqrt_lasso, sqrt_lasso_universal_lambda
 from lassoagg.weights import log_inv_weight
 
 
@@ -89,6 +89,10 @@ def test_geometric_grid_invalid():
         geometric_grid(1.0, 0.5, 4)
     with pytest.raises(InvalidInputError):
         geometric_grid(0.1, 1.0, 1)
+    # lambda_max / lambda_min overflows to inf
+    for mode in ("spanning", "paper-literal"):
+        with pytest.raises(InvalidInputError, match="not finite"):
+            geometric_grid(1e-320, 1.0, 4, mode=mode)
 
 
 def test_sqrt_pipeline_null_regime():
@@ -103,7 +107,7 @@ def test_sqrt_pipeline_null_regime():
     y -= Q @ (Q.T @ y)
     report = sqrt_lasso_pipeline(Xm, y, M=5)
     assert report.family.supports == (Support(()),)
-    assert report.sigma_hat_sq == pytest.approx(np.sum(y ** 2) / n, rel=1e-10)
+    assert report.result.sigma_hat_sq_used == pytest.approx(np.sum(y ** 2) / n, rel=1e-10)
 
 
 def test_sqrt_pipeline_recovers_strong_signal_support():
@@ -116,7 +120,7 @@ def test_sqrt_pipeline_recovers_strong_signal_support():
     y = Xm @ beta + 0.3 * rng.standard_normal(n)
     report = sqrt_lasso_pipeline(Xm, y, M=10, method="crit")
     assert report.result.chosen == Support((0, 1))
-    assert 0.0 < report.sigma_hat_sq < np.sum(y ** 2) / n
+    assert 0.0 < report.result.sigma_hat_sq_used < np.sum(y ** 2) / n
 
 
 def test_sqrt_pipeline_interpolation_is_degenerate():
@@ -156,7 +160,18 @@ def test_sqrt_pipeline_ends_when_p_exceeds_n():
     lam_u = sqrt_lasso_universal_lambda(100, 200)
     report = sqrt_lasso_pipeline(inst.X, inst.y, lambda_min=0.2 * lam_u)
     assert report.fits_converged
-    assert 0.0 < report.sigma_hat_sq < float(inst.y @ inst.y) / 100
+    assert 0.0 < report.result.sigma_hat_sq_used < float(inst.y @ inst.y) / 100
+
+
+def test_sqrt_pipeline_reports_convergence_in_grid_order():
+    # the fits at the two smallest penalties stop at the path's floor
+    inst = generate_instance(30, 20, 3, 1.0, seed=1)
+    report = sqrt_lasso_pipeline(inst.X, inst.y, lambda_min=1e-8, M=5)
+    grid = report.grid_meta["grid"]
+    expected = [sqrt_lasso(inst.X, inst.y, lam).converged for lam in grid]
+    assert report.grid_meta["converged"] == expected
+    assert expected[0] is False and expected[-1] is True
+    assert not report.fits_converged
 
 
 @pytest.mark.parametrize("method", ["q", "crit"])

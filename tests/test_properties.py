@@ -128,9 +128,8 @@ def test_a_continued_path_is_the_uncapped_path(data, max_knots):
     with _one_blas_thread():
         segments, degenerate, head = capped.loop.send(10 * min(X.shape) + 10)
     segments = segments + ([head] if head is not None else [])
-    continued = LassoPath(knots=np.array([seg.hi for seg in segments]), segments=segments,
-                          truncated=head is not None, degenerate=degenerate,
-                          design=full.design, response=full.response)
+    continued = LassoPath(segments=segments, degenerate=degenerate, design=full.design,
+                          response=full.response, loop=None if head is None else capped.loop)
     for path in (full, capped, continued):
         assert path.knots.tolist() == [seg.hi for seg in path.segments]
     assert path_bytes(continued) == path_bytes(full)
@@ -308,9 +307,8 @@ def rank_deficient_qp(n, M, seed, scale, kinds):
     family = SupportFamily.from_supports([Support((j,)) for j in range(M)],
                                          include_empty=False)
     return PrecomputedFits(family=family, fitted_vectors=F, gram=G, y_dot=F.T @ y,
-                           fit_norms_sq=np.diag(G).copy(),
                            log_inv_weights=rng.uniform(0.0, 10.0, M),
-                           y_norm_sq=float(y @ y), n=n, p=M)
+                           y_norm_sq=float(y @ y))
 
 
 @st.composite
@@ -344,7 +342,7 @@ def test_q_aggregate_solves_rank_deficient_qps(data):
     assert res.converged
     theta = res.theta_hat.theta
     assert np.all(theta >= 0.0) and abs(theta.sum() - 1.0) <= 1e-10
-    c = -2.0 * pre.y_dot + 0.5 * pre.fit_norms_sq + 26.0 * s2 * pre.log_inv_weights
+    c = -2.0 * pre.y_dot + 0.5 * np.diag(pre.gram) + 26.0 * s2 * pre.log_inv_weights
     grad = pre.gram @ theta + c
     gap = float(grad @ theta - np.min(grad))
     assert gap <= 1e-9 * (1.0 + abs(res.objective) + float(np.max(np.abs(grad))))

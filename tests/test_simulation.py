@@ -72,6 +72,10 @@ def test_generate_instance_invalid_args():
     for sigma in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidInputError):
             generate_instance(10, 4, 1, sigma)
+    for seed in (-1, 2 ** 128):
+        with pytest.raises(InvalidInputError, match="seed"):
+            generate_instance(10, 4, 1, 1.0, seed=seed)
+    assert generate_instance(3, 2, 1, 1.0, seed=2 ** 128 - 1).y.shape == (3,)
 
 
 def _biases(X, supports, mu):
@@ -143,7 +147,7 @@ def _soi_path_reference(config):
     one point at a time."""
     inst = generate_instance(config.n, config.p, config.s, config.sigma,
                              design_kind=config.design_kind, seed=config.seed)
-    X, y, mu, n, p = inst.X, inst.y, inst.mu, inst.n, inst.p
+    X, y, mu, n, p = inst.X, inst.y, inst.mu, inst.X.n, inst.X.p
     path = compute_path(X, y)
     s2 = (config.sigma ** 2 if config.sigma_mode == "known" else
           sqrt_lasso(X, y, sqrt_lasso_universal_lambda(n, p), path=path).sigma_hat_sq)
@@ -280,3 +284,26 @@ def test_serial_replications_run_one_blas_thread_and_restore_the_count():
 def test_monte_carlo_rejects_zero_reps():
     with pytest.raises(InvalidInputError):
         monte_carlo(TrialConfig(), reps=0)
+
+
+def _no_instance(*args, **kwargs):
+    raise AssertionError("a replication ran")
+
+
+@pytest.mark.parametrize("seed, reps", [(-1, 1), (2 ** 128 - 2, 3)])
+def test_monte_carlo_rejects_seeds_before_any_replication(monkeypatch, seed, reps):
+    monkeypatch.setattr(lassoagg.simulation, "generate_instance", _no_instance)
+    with pytest.raises(InvalidInputError, match="seed"):
+        monte_carlo(TrialConfig(seed=seed), reps=reps)
+
+
+@pytest.mark.parametrize("config, message", [
+    (TrialConfig(bound="soi"), "unknown bound"),
+    (TrialConfig(sigma_mode="estimated"), "unknown sigma mode"),
+])
+def test_trials_reject_unknown_modes_before_generating_data(monkeypatch, config, message):
+    monkeypatch.setattr(lassoagg.simulation, "generate_instance", _no_instance)
+    with pytest.raises(InvalidInputError, match=message):
+        monte_carlo(config, reps=2)
+    with pytest.raises(InvalidInputError, match=message):
+        run_oracle_trial(config)
