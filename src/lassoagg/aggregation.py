@@ -74,7 +74,7 @@ def precompute(X, y, family: SupportFamily) -> PrecomputedFits:
     """Materialize the per-support least-squares fits and their Gram matrix.
 
     A support uses the fit on the family's path when that is the path of
-    (X, y); any other support is projected by pivoted QR.
+    (X, y); any other support is projected by design.project.
     """
     X = as_design(X)
     y = as_response(y, X.n)

@@ -1,4 +1,4 @@
-"""Problem data containers and least-squares projections onto column spans."""
+"""Problem data, the QR column insertion and projections onto column spans."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import scipy.linalg
 
 from .errors import InvalidInputError
 
-# A pivot of the rank-revealing QR is dropped when its magnitude is at most
-# RANK_TOL times the largest pivot.
+# A column is left out of a QR factorisation when its new diagonal entry
+# |R_kk| is at most RANK_TOL times the largest norm of the columns factored.
 RANK_TOL = 1e-10
 # Coefficients with magnitude above this count as part of the support.
 # Coordinate descent and the path produce zeros up to round-off, which this guards.
@@ -111,33 +111,56 @@ class ProjectionResult:
     rank: int
 
 
-def _orthonormal_basis(X: DesignMatrix, T: Support) -> np.ndarray:
-    """Orthonormal basis (n x rank) of the span of the columns indexed by T,
-    via column-pivoted QR with the RANK_TOL pivot threshold."""
-    if T.size == 0:
-        return np.zeros((X.n, 0))
-    if T.indices[-1] >= X.p:
-        raise InvalidInputError(f"support index {T.indices[-1]} out of range for p={X.p}")
-    sub = X.entries[:, list(T.indices)]
-    Q, R, _ = scipy.linalg.qr(sub, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] <= 0.0:
-        return np.zeros((X.n, 0))
-    rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    return Q[:, :rank]
+def _insert_column(Q: np.ndarray, R: np.ndarray, x: np.ndarray,
+                   tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Append column x to X_A = Q R.  Returns (Q, R, True), or the given
+    factors and False when the new diagonal entry |R_kk| is at most tol."""
+    k = R.shape[1]
+    if k == 0:
+        norm = float(np.sqrt(x @ x))
+        return (x / norm)[:, None], np.array([[norm]]), True
+    if k >= Q.shape[0]:
+        return Q, R, False
+    try:
+        Q1, R1 = scipy.linalg.qr_insert(Q, R, x, k, which="col", check_finite=False)
+    except np.linalg.LinAlgError:   # x is numerically in the span of Q
+        return Q, R, False
+    if abs(R1[k, k]) <= tol:
+        return Q, R, False
+    return Q1, R1, True
 
 
 def project(X: DesignMatrix, T: Support, v) -> ProjectionResult:
     """Orthogonal projection of v onto the span of the columns of X indexed by T.
 
-    Rank-deficient (e.g. duplicated-column) submatrices are handled by the
-    rank-revealing factorization; the empty support projects to zero.
+    The columns are factored as the homotopy factors its active set
+    (_insert_column): one is left out when its |R_kk| is at most RANK_TOL
+    times the largest column norm of T, so that a rank-deficient (e.g.
+    duplicated-column) submatrix counts each direction once; the empty
+    support projects to zero.
     """
     X = as_design(X)
     v = as_response(v, X.n)
-    Q = _orthonormal_basis(X, T)
-    if Q.shape[1] == 0:
-        fitted = np.zeros(X.n)
-    else:
-        fitted = Q @ (Q.T @ v)
-    return ProjectionResult(fitted=fitted, residual=v - fitted, rank=Q.shape[1])
+    if T.size and T.indices[-1] >= X.p:
+        raise InvalidInputError(f"support index {T.indices[-1]} out of range for p={X.p}")
+    norms = np.sqrt(X.column_norms_sq[list(T.indices)])
+    tol = RANK_TOL * norms.max(initial=0.0)
+    # columns of norm at most tol are left out before any qr_insert, which
+    # divides by the norm of a zero column and returns a non-orthonormal Q
+    cols = X.entries[:, [j for j, norm in zip(T.indices, norms) if norm > tol]]
+    Q, R = np.empty((X.n, 0)), np.empty((0, 0))
+    for k, x in enumerate(cols.T):
+        if k == 1:
+            # one block call gives the bits of one _insert_column per column
+            # when it keeps them all; otherwise they go in one at a time
+            try:
+                Q1, R1 = scipy.linalg.qr_insert(Q, R, cols[:, 1:], 1, which="col",
+                                                check_finite=False)
+                if R1.shape[0] == R1.shape[1] and np.all(np.abs(np.diag(R1)) > tol):
+                    Q, R = Q1, R1
+                    break
+            except np.linalg.LinAlgError:   # a column is numerically in the span of Q
+                pass
+        Q, R, _ = _insert_column(Q, R, x, tol)
+    fitted = Q @ (Q.T @ v)
+    return ProjectionResult(fitted=fitted, residual=v - fitted, rank=R.shape[1])

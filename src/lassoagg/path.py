@@ -25,8 +25,8 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .design import (RANK_TOL, SUPPORT_THRESH, DesignMatrix, Support, as_design,
-                     as_response)
+from .design import (RANK_TOL, SUPPORT_THRESH, DesignMatrix, Support, _insert_column,
+                     as_design, as_response)
 from .errors import InvalidInputError
 # lasso_cd is unused here, but perfbench/tracing.py wraps it at this module
 from .solvers import lasso_cd  # noqa: F401
@@ -422,25 +422,6 @@ def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
     i = min(tied, key=lambda i: (column(i), i))
     sign = 1.0 if i < p else -1.0 if i < 2 * p else 0.0
     return float(t[i]), column(i), sign, len(tied) > 1
-
-
-def _insert_column(Q: np.ndarray, R: np.ndarray, x: np.ndarray,
-                   tol: float) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Append column x to X_A = Q R.  Returns (Q, R, True), or the given
-    factors and False when the new diagonal entry |R_kk| is at most tol."""
-    k = R.shape[1]
-    if k == 0:
-        norm = float(np.sqrt(x @ x))
-        return (x / norm)[:, None], np.array([[norm]]), True
-    if k >= Q.shape[0]:
-        return Q, R, False
-    try:
-        Q1, R1 = scipy.linalg.qr_insert(Q, R, x, k, which="col", check_finite=False)
-    except np.linalg.LinAlgError:   # x is numerically in the span of Q
-        return Q, R, False
-    if abs(R1[k, k]) <= tol:
-        return Q, R, False
-    return Q1, R1, True
 
 
 def path_support_family(path: LassoPath) -> SupportFamily:

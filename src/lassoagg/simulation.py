@@ -138,6 +138,8 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
         raise InvalidInputError(f"unknown sigma mode {config.sigma_mode!r}")
     if config.bound not in ("soi_path", "soi_supports", "oi_supports"):
         raise InvalidInputError(f"unknown bound {config.bound!r}")
+    if not 0 < config.x < math.inf:
+        raise InvalidInputError("x must be positive and finite")
     with _one_blas_thread():
         inst = generate_instance(config.n, config.p, config.s, config.sigma,
                                  design_kind=config.design_kind, seed=config.seed,

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,8 +45,7 @@ def _duality_gap(n, lam, beta, r, Xt_r):
     return primal - dual
 
 
-def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000,
-             beta0: Optional[np.ndarray] = None) -> LassoFit:
+def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000) -> LassoFit:
     """Minimize (1/2n)||y - X b||^2 + lam*||b||_1 by cyclic coordinate descent.
 
     Terminates when the duality gap drops below tol, after max_iter full
@@ -65,12 +63,7 @@ def lasso_cd(X, y, lam: float, tol: float = 1e-9, max_iter: int = 100_000,
     n, p = X.n, X.p
     Xm = X.entries
     norms_n = X.column_norms_sq / n
-    if beta0 is None:
-        beta = np.zeros(p)
-    else:
-        beta = np.array(beta0, dtype=float).ravel()
-        if beta.shape[0] != p:
-            raise InvalidInputError("warm-start beta has wrong length")
+    beta = np.zeros(p)
     r = y - Xm @ beta
 
     gap = math.inf

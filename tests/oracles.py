@@ -1,7 +1,8 @@
 """Independent references that only the tests use: the Lasso's KKT check,
 coordinate descent run to its cycle cap, the coefficient vector and the
-grid support family read off a Lasso path, the Q-aggregation objective at
-a given theta, and Q-aggregation over every support of a small design.
+grid support family read off a Lasso path, the projection onto a support's
+column span by column-pivoted QR, the Q-aggregation objective at a given
+theta, and Q-aggregation over every support of a small design.
 
 pytest puts this directory on sys.path, so a test imports them with
 ``from oracles import ...``.
@@ -14,10 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 
 from lassoagg.aggregation import (PrecomputedFits, QAggResult, SimplexWeights, _clamp_sigma,
                                   _linear_coeffs, precompute, q_aggregate)
-from lassoagg.design import SUPPORT_THRESH, Support, as_design, as_response
+from lassoagg.design import (RANK_TOL, SUPPORT_THRESH, DesignMatrix, ProjectionResult, Support,
+                             as_design, as_response)
 from lassoagg.errors import InvalidInputError
 from lassoagg.path import LassoPath, SupportFamily, compute_path
 from lassoagg.solvers import LassoFit, _duality_gap
@@ -114,6 +117,39 @@ def grid_support_family(X, y, lambdas) -> SupportFamily:
     fam = SupportFamily.from_supports(supports, source="grid")
     fam.path = path
     return fam
+
+
+def _orthonormal_basis(X: DesignMatrix, T: Support) -> np.ndarray:
+    """Orthonormal basis (n x rank) of the span of the columns indexed by T,
+    via column-pivoted QR with the RANK_TOL pivot threshold."""
+    if T.size == 0:
+        return np.zeros((X.n, 0))
+    if T.indices[-1] >= X.p:
+        raise InvalidInputError(f"support index {T.indices[-1]} out of range for p={X.p}")
+    sub = X.entries[:, list(T.indices)]
+    Q, R, _ = scipy.linalg.qr(sub, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag.size == 0 or diag[0] <= 0.0:
+        return np.zeros((X.n, 0))
+    rank = int(np.sum(diag > RANK_TOL * diag[0]))
+    return Q[:, :rank]
+
+
+def pivoted_project(X: DesignMatrix, T: Support, v) -> ProjectionResult:
+    """Orthogonal projection of v onto the span of the columns of X indexed by T.
+
+    Rank-deficient (e.g. duplicated-column) submatrices are handled by the
+    rank-revealing factorization, which drops a pivot at most RANK_TOL times
+    the largest; the empty support projects to zero.
+    """
+    X = as_design(X)
+    v = as_response(v, X.n)
+    Q = _orthonormal_basis(X, T)
+    if Q.shape[1] == 0:
+        fitted = np.zeros(X.n)
+    else:
+        fitted = Q @ (Q.T @ v)
+    return ProjectionResult(fitted=fitted, residual=v - fitted, rank=Q.shape[1])
 
 
 def q_objective(theta, pre: PrecomputedFits, sigma_hat_sq: float) -> float:

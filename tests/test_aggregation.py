@@ -289,11 +289,7 @@ def test_aggregate_estimators_matches_grid_pipeline():
     lam0 = np.max(np.abs(Xm.T @ y)) / 20
     lams = [lam0 * f for f in (1.5, 0.6, 0.25, 0.1)]
     from lassoagg.solvers import lasso_cd
-    betas = []
-    beta = None
-    for lam in sorted(lams, reverse=True):
-        beta = lasso_cd(X, y, lam, tol=1e-12, beta0=beta).beta
-        betas.append(beta)
+    betas = [lasso_cd(X, y, lam, tol=1e-12).beta for lam in sorted(lams, reverse=True)]
     via_betas = aggregate_estimators(X, y, betas, 0.5, method="q")
     fam = grid_support_family(X, y, lams)
     via_family = q_aggregate(precompute(X, y, fam), 0.5)

@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,7 +653,10 @@ def test_simulate_rejects_fewer_than_one_thread(monkeypatch, capsys, threads):
 
 
 DATA = ["--x", "{x}", "--y", "{y}"]
+INT_DATA = ["--x", "{ix}", "--y", "{iy}"]
 SIMULATE = ["simulate", "--n", "30", "--p", "40", "--s", "3", "--sigma", "1", "--reps", "2"]
+SIMULATE_LOW_NOISE = ["simulate", "--n", "30", "--p", "40", "--s", "3", "--sigma", "0.1",
+                      "--reps", "2", "--method", "crit"]
 GOLDEN_RUNS = {
     "aggregate_sqrt_lasso_max_knots_1": ["aggregate", *DATA, "--sigma-mode", "sqrt_lasso",
                                          "--max-knots", "1"],
@@ -659,39 +667,62 @@ GOLDEN_RUNS = {
     "aggregate_sqrt_lasso": ["aggregate", *DATA, "--sigma-mode", "sqrt_lasso"],
     "aggregate_crit_sigma_1": ["aggregate", *DATA, "--method", "crit", "--sigma", "1"],
     "aggregate_q_sigma_1_max_knots_4": ["aggregate", *DATA, "--sigma", "1", "--max-knots", "4"],
+    "aggregate_integer_sigma_1": ["aggregate", *INT_DATA, "--sigma", "1"],
+    "aggregate_integer_sqrt_lasso": ["aggregate", *INT_DATA, "--sigma-mode", "sqrt_lasso"],
     "path_max_knots_2": ["path", *DATA, "--max-knots", "2"],
     "path_max_knots_3_path_csv": ["path", *DATA, "--max-knots", "3", "--path-csv", "{csv}"],
     "path_zero_response": ["path", "--x", "{x}", "--y", "{zero}"],
+    "path_wide": ["path", "--x", "{wx}", "--y", "{wy}"],
     "sqrt_pipeline_crit": ["sqrt-pipeline", *DATA, "--method", "crit"],
+    "sqrt_pipeline_q_paper_literal": ["sqrt-pipeline", *DATA, "--method", "q",
+                                      "--grid-mode", "paper-literal"],
     "simulate_soi_path": [*SIMULATE, "--bound", "soi_path"],
     "simulate_soi_supports": [*SIMULATE, "--bound", "soi_supports"],
     "simulate_oi_supports_crit_sqrt_lasso": [*SIMULATE, "--bound", "oi_supports",
                                              "--method", "crit", "--sigma-mode", "sqrt_lasso"],
+    "simulate_oi_supports_crit_sigma_0.1": [*SIMULATE_LOW_NOISE, "--bound", "oi_supports"],
+    "simulate_soi_supports_crit_sigma_0.1": [*SIMULATE_LOW_NOISE, "--bound", "soi_supports"],
+    "simulate_x_0_exits_2": [*SIMULATE, "--x", "0"],
     "weights_p_6": ["weights", "--p", "6"],
 }
+GOLDEN_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_results.json")
 
 
-def _golden_results(tmp_path):
-    """Exit code and canonical results bytes of each GOLDEN_RUNS command,
-    followed by the text of its --path-csv file if it writes one.  The data
-    commands read one fixed (30, 20) instance, whose square-root-Lasso root
-    at the universal penalty lies on segment 6 of its path, or its design
-    with a zero response."""
+def _golden_results(tmp_path, names=tuple(GOLDEN_RUNS)):
+    """Exit code and canonical results bytes of each named GOLDEN_RUNS
+    command, or its stderr line when it writes no report, followed by the
+    text of its --path-csv file if it writes one.  Most data commands read
+    one fixed (30, 20) instance, whose square-root-Lasso root at the
+    universal penalty lies on segment 6 of its path, or its design with a
+    zero response.  The integer (12, 9) design has a repeated, a negated and
+    a doubled column, so its path is degenerate; the (15, 40) one has p > n."""
     rng = np.random.default_rng(0)
     Xm = 3.0 * rng.standard_normal((30, 20))
     beta = np.zeros(20)
     beta[:5] = [3.0, -2.0, 1.5, -1.0, 0.5]
     y = Xm @ beta + 0.5 * rng.standard_normal(30)
-    files = {"x": str(tmp_path / "gx.csv"), "y": str(tmp_path / "gy.csv"),
-             "zero": str(tmp_path / "g0.csv"), "csv": str(tmp_path / "path.csv")}
-    save_matrix_csv(files["x"], Xm)
-    save_matrix_csv(files["y"], y.reshape(-1, 1))
-    save_matrix_csv(files["zero"], np.zeros((30, 1)))
+    rng = np.random.default_rng(3)
+    Xi = rng.integers(-3, 4, size=(12, 9)).astype(float)
+    Xi[:, 4] = Xi[:, 1]
+    Xi[:, 6] = -Xi[:, 2]
+    Xi[:, 8] = 2.0 * Xi[:, 0]
+    yi = Xi[:, :3] @ np.array([2.0, -1.0, 1.0]) + rng.integers(-2, 3, size=12)
+    rng = np.random.default_rng(5)
+    Xw = rng.standard_normal((15, 40))
+    yw = Xw[:, [0, 7, 21]] @ np.array([2.0, -1.5, 1.0]) + 0.3 * rng.standard_normal(15)
+    data = {"x": Xm, "y": y, "zero": np.zeros(30), "ix": Xi, "iy": yi, "wx": Xw, "wy": yw}
+    files = {key: str(tmp_path / f"g{key}.csv") for key in data}
+    for key, values in data.items():
+        save_matrix_csv(files[key], values.reshape(len(values), -1))
+    files["csv"] = str(tmp_path / "path.csv")
     found = {}
-    for name, argv in GOLDEN_RUNS.items():
+    for name in names:
+        argv = GOLDEN_RUNS[name]
         out = tmp_path / f"{name}.json"
-        code = main([a.format(**files) for a in argv] + ["--out", str(out)])
-        found[name] = [code, canonical_json(json.loads(out.read_text())["results"])]
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([a.format(**files) for a in argv] + ["--out", str(out)])
+        found[name] = [code, canonical_json(json.loads(out.read_text())["results"])
+                       if out.exists() else err.getvalue().rstrip("\n")]
         if "{csv}" in argv:
             with open(files["csv"], newline="") as fh:
                 found[name].append(fh.read())
@@ -700,7 +731,20 @@ def _golden_results(tmp_path):
 
 def test_results_match_the_golden_bytes(tmp_path):
     # expected bytes written by the code before each refactor of the homotopy
-    golden = os.path.join(os.path.dirname(__file__), "golden_results.json")
-    with open(golden) as fh:
+    # and of the least-squares engine
+    with open(GOLDEN_FILE) as fh:
         expected = json.load(fh)
     assert _golden_results(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    # python3 tests/test_cli.py NAME ...: run the named GOLDEN_RUNS with the
+    # lassoagg found first on sys.path and write their entries into
+    # golden_results.json, keeping every other entry
+    with open(GOLDEN_FILE) as fh:
+        golden = json.load(fh)
+    with tempfile.TemporaryDirectory() as tmp:
+        golden.update(_golden_results(Path(tmp), sys.argv[1:]))
+    with open(GOLDEN_FILE, "w") as fh:
+        fh.write(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(sys.argv) - 1} entries with {lassoagg.cli.__file__}")

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from lassoagg.design import DesignMatrix, Support, project
+from lassoagg.design import RANK_TOL, DesignMatrix, Support, _insert_column, project
 from lassoagg.errors import InvalidInputError
+from oracles import pivoted_project
 
 
 def brute_force_projection(Xm, idx, v):
@@ -120,3 +126,68 @@ def test_column_norms_cached():
     X = DesignMatrix(Xm)
     assert np.allclose(X.column_norms_sq, (Xm ** 2).sum(axis=0), rtol=1e-12)
 
+
+@st.composite
+def supports_of_small_designs(draw):
+    """A small design whose columns are fresh (integer entries in -2..2, or
+    Gaussian), zero, or a repeated, negated or doubled earlier column; a
+    support of it, possibly empty or wider than n; and a vector."""
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gaussian = draw(st.booleans())
+    Xm = np.empty((n, p))
+    for j in range(p):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeated", "negated", "doubled"]))
+        if j == 0 or kind == "fresh":
+            Xm[:, j] = rng.standard_normal(n) if gaussian else rng.integers(-2, 3, size=n)
+        elif kind == "zero":
+            Xm[:, j] = 0.0
+        else:
+            factor = {"repeated": 1.0, "negated": -1.0, "doubled": 2.0}[kind]
+            Xm[:, j] = factor * Xm[:, rng.integers(j)]
+    T = Support(tuple(sorted(draw(st.sets(st.integers(0, p - 1))))))
+    return Xm, T, rng.standard_normal(n)
+
+
+@example((np.ones((2, 1)), Support(()), np.array([1.0, -1.0])))
+# a zero column after the first, which scipy's qr_insert cannot take
+@example((np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), Support((0, 1, 2)), np.array([1.0, 2.0])))
+# a support wider than n, with a doubled column
+@example((np.array([[1.0, 2.0, 0.0, 1.0], [1.0, 2.0, 1.0, 0.0]]), Support((0, 1, 2, 3)),
+          np.array([3.0, -1.0])))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(supports_of_small_designs())
+def test_project_matches_pivoted_qr_and_lstsq(capfd, data):
+    Xm, T, v = data
+    X = DesignMatrix(Xm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = project(X, T, v)
+    # scipy reports a division by a zero norm on stderr, not by raising
+    assert capfd.readouterr().err == ""
+    sub = Xm[:, list(T.indices)]
+    lstsq = sub @ np.linalg.lstsq(sub, v, rcond=None)[0] if T.size else np.zeros(v.size)
+    tol = 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(res.fitted - pivoted_project(X, T, v).fitted) <= tol
+    assert np.linalg.norm(res.fitted - lstsq) <= tol
+    assert res.rank == (np.linalg.matrix_rank(sub) if T.size else 0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_block_insert_gives_the_bits_of_one_insert_per_column(seed):
+    # project inserts all but the first column of a support in one qr_insert
+    # call, where the homotopy inserts one column per call; the two give the
+    # same bits, so project factors a support as the homotopy would
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 121))
+    k = int(rng.integers(2, min(n, 60) + 1))
+    Xm = rng.standard_normal((n, k)) if seed % 2 else rng.integers(-9, 10, (n, k)).astype(float)
+    tol = RANK_TOL * np.sqrt((Xm ** 2).sum(axis=0)).max()
+    Q, R, _ = _insert_column(np.empty((n, 0)), np.empty((0, 0)), Xm[:, 0], tol)
+    Qb, Rb = scipy.linalg.qr_insert(Q, R, Xm[:, 1:], 1, which="col", check_finite=False)
+    for j in range(1, k):
+        Q, R, independent = _insert_column(Q, R, Xm[:, j], tol)
+        assert independent
+    assert np.array_equal(Qb, Q) and np.array_equal(Rb, R)

@@ -1,12 +1,12 @@
 """Property tests: the square-root Lasso, the grid family, the segments'
 fitted values and the least-squares fits that path and grid families carry,
 all read off the Lasso path, checked against their optimality conditions,
-the coordinate-descent reference, X beta and the pivoted-QR projection; the
-homotopy's event search, checked against its candidate-list form, and its
-loop continued past a knot cap, checked against the uncapped path; the
-Q-aggregation QP, checked against its Frank-Wolfe gap and every vertex; the
-CLI's CSV round trip; and the CLI's CSV loaders, checked against their
-Python reader alone."""
+the coordinate-descent reference, X beta and the pivoted-QR projection of
+tests/oracles.py; the homotopy's event search, checked against its
+candidate-list form, and its loop continued past a knot cap, checked
+against the uncapped path; the Q-aggregation QP, checked against its
+Frank-Wolfe gap and every vertex; the CLI's CSV round trip; and the CLI's
+CSV loaders, checked against their Python reader alone."""
 
 import math
 import os
@@ -22,14 +22,14 @@ from hypothesis.extra.numpy import arrays
 import lassoagg.cli
 from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
 from lassoagg.cli import load_matrix_csv, load_vector_csv, save_matrix_csv
-from lassoagg.design import SUPPORT_THRESH, Support, project
+from lassoagg.design import SUPPORT_THRESH, Support
 from lassoagg.errors import DegenerateVarianceError
 from lassoagg.path import (TIE_TOL, LassoPath, SupportFamily, _next_event, _one_blas_thread,
                            compute_path, path_support_family)
 from lassoagg.pipelines import sqrt_lasso_pipeline
 from lassoagg.simulation import generate_instance
 from lassoagg.solvers import lasso_cd, sqrt_lasso, sqrt_lasso_universal_lambda
-from oracles import grid_support_family
+from oracles import grid_support_family, pivoted_project
 from test_solvers import path_bytes
 
 
@@ -285,7 +285,7 @@ def test_path_family_fits_equal_qr_projections(data):
         assert family.path is not None
         fitted = precompute(design, y, family).fitted_vectors
         for j, T in enumerate(family):
-            ref = project(design, T, y).fitted
+            ref = pivoted_project(design, T, y).fitted
             assert np.linalg.norm(fitted[:, j] - ref) <= 1e-12 * scale
 
 

@@ -300,6 +300,10 @@ def test_monte_carlo_rejects_seeds_before_any_replication(monkeypatch, seed, rep
 @pytest.mark.parametrize("config, message", [
     (TrialConfig(bound="soi"), "unknown bound"),
     (TrialConfig(sigma_mode="estimated"), "unknown sigma mode"),
+    (TrialConfig(x=0.0), "x must be positive and finite"),
+    (TrialConfig(x=-1.0), "x must be positive and finite"),
+    (TrialConfig(x=math.inf), "x must be positive and finite"),
+    (TrialConfig(x=math.nan), "x must be positive and finite"),
 ])
 def test_trials_reject_unknown_modes_before_generating_data(monkeypatch, config, message):
     monkeypatch.setattr(lassoagg.simulation, "generate_instance", _no_instance)

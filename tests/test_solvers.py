@@ -104,16 +104,6 @@ def test_zero_column_skipped():
     assert fit.beta[1] == 0.0
 
 
-def test_warm_start_agrees_with_cold_start():
-    rng = np.random.default_rng(11)
-    Xm = rng.standard_normal((15, 6))
-    y = rng.standard_normal(15)
-    X = DesignMatrix(Xm)
-    cold = lasso_cd(X, y, 0.05, tol=1e-13)
-    warm = lasso_cd(X, y, 0.05, tol=1e-13, beta0=lasso_cd(X, y, 0.2, tol=1e-13).beta)
-    assert np.allclose(cold.beta, warm.beta, atol=1e-7)
-
-
 def test_invalid_lasso_inputs():
     X = DesignMatrix([[1.0]])
     with pytest.raises(InvalidInputError):
