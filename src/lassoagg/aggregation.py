@@ -100,12 +100,14 @@ def crit_value(resid_sq: float, log_inv_w: float, sigma_hat_sq: float) -> float:
     return resid_sq + CRIT_PENALTY * sigma_hat_sq * log_inv_w
 
 
-def _clamp_sigma(sigma_hat_sq: float) -> float:
+def _clamp_sigma(pre: PrecomputedFits, sigma_hat_sq: float) -> float:
     if not math.isfinite(sigma_hat_sq):
         raise InvalidInputError("variance estimate must be finite")
     if sigma_hat_sq < 0:
         warnings.warn("negative variance estimate clamped to 0", RuntimeWarning)
         return 0.0
+    if not math.isfinite(Q_PENALTY * float(sigma_hat_sq) * float(pre.log_inv_weights.max())):
+        raise InvalidInputError("the penalty 26 * sigma_hat_sq * log(1/weight) overflows")
     return float(sigma_hat_sq)
 
 
@@ -114,7 +116,7 @@ def crit_select(pre: PrecomputedFits, sigma_hat_sq: float) -> CritResult:
 
     Ties are broken by smaller support size, then lexicographic indices.
     """
-    sigma_hat_sq = _clamp_sigma(sigma_hat_sq)
+    sigma_hat_sq = _clamp_sigma(pre, sigma_hat_sq)
     best = None
     fit_norms_sq = np.diag(pre.gram)
     for j, T in enumerate(pre.family):
@@ -155,7 +157,7 @@ def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float) -> QAggResult:
     bound is hit, and the Frank-Wolfe gap max_k grad^T (theta - e_k) is the
     reported certificate.
     """
-    sigma_hat_sq = _clamp_sigma(sigma_hat_sq)
+    sigma_hat_sq = _clamp_sigma(pre, sigma_hat_sq)
     M = pre.size
     G = pre.gram
     c = _linear_coeffs(pre, sigma_hat_sq)

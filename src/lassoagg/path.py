@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
@@ -110,24 +110,21 @@ class LassoPath:
         return _norms_sq(self.response, self.segments)
 
     def exact_runs(self) -> Iterator[Tuple[List[PathSegment], np.ndarray, np.ndarray, bool]]:
-        """The segments of compute_path(X, y) that no cap cuts short, at the
-        default cap, in runs: this path's own, then one per knot of its
-        continued loop, each with its segment_norms_sq and whether that path
-        goes on after it."""
+        """The segments of compute_path(X, y), at the default cap, in runs:
+        this path's own, then one per knot of its continued loop, each with
+        its segment_norms_sq and whether the homotopy goes on after it."""
         cap = _default_max_knots(self.design)
-        read = len(self.segments) - self.truncated if self.knots.size <= cap else cap - 1
+        read = min(len(self.segments), cap)
         rr, ss = self.segment_norms_sq
-        more = self.truncated or self.knots.size > cap
+        more = self.truncated or len(self.segments) > read
         yield self.segments[:read], rr[:read], ss[:read], more
-        loop = self.loop if self.knots.size < cap else None
-        while more and loop is not None:
+        while more and read < cap:
+            # an earlier reader may have continued the loop, even to its end
             with _one_blas_thread():
-                segments, _, head = loop.send(min(read + 2, cap))
-            more = head is not None or len(segments) > read + 1
-            if len(segments) == read:           # cut at the cap
-                return
+                segments, _, waiting = self.loop.send(read + 1)
             run = segments[read:read + 1]
             read += 1
+            more = waiting or len(segments) > read
             yield (run, *_norms_sq(self.response, run), more)
 
     def knot_segments(self) -> List[Tuple[float, PathSegment]]:
@@ -257,11 +254,11 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     would make X_A rank deficient (|R_kk| at most RANK_TOL times the largest
     active column norm) is not added, which also flags the path degenerate.
     The loop stops at the floor 1e-8 * lambda_0, when no event remains, or
-    once max_knots knots (lambda_0 included) are recorded; truncated=True
-    means that events remained at the cap, where the path keeps its loop
-    suspended.  It runs with one BLAS thread: the loop alternates calls
-    between numpy's and scipy's OpenBLAS, whose thread pools contend for the
-    cores; the caller's counts are restored.
+    once max_knots knots (lambda_0 included) are recorded, as the uncapped
+    path's first segments; truncated=True means that events remained at the
+    cap, where the path keeps its loop suspended.  It runs with one BLAS
+    thread: the loop alternates calls between numpy's and scipy's OpenBLAS,
+    whose thread pools contend for the cores; the caller's counts are restored.
     """
     X = as_design(X)
     y = as_response(y, X.n)
@@ -273,12 +270,10 @@ def compute_path(X, y, max_knots: Optional[int] = None) -> LassoPath:
     if lam0 <= 0.0:
         return LassoPath(segments=[], design=X, response=y)
     loop = _event_loop(X, y, lam0, max_knots)
-    segments, degenerate, head = next(loop)
-    if head is None:
-        return LassoPath(segments=segments, degenerate=degenerate, design=X, response=y)
-    # a copy: the continued loop sets the head's lo at its next knot
-    return LassoPath(segments=segments + [replace(head)], degenerate=degenerate,
-                     design=X, response=y, loop=loop)
+    segments, degenerate, waiting = next(loop)
+    # a copy of the list, which the continued loop extends
+    return LassoPath(segments=list(segments), degenerate=degenerate, design=X, response=y,
+                     loop=loop if waiting else None)
 
 
 def _default_max_knots(X: DesignMatrix) -> int:
@@ -286,11 +281,11 @@ def _default_max_knots(X: DesignMatrix) -> int:
 
 
 def _event_loop(X: DesignMatrix, y: np.ndarray, lam0: float, max_knots: int) -> Generator:
-    """The event loop of one path.  At the first loop head after max_knots
-    knots it waits, yielding (segments, degenerate, head): its own growing
-    list of the segments no cap cuts short, the degenerate flag and the
-    waiting head's segment, whose lo is the floor.  A larger cap sent to it
-    continues; once finished it answers every cap with head None."""
+    """The event loop of one path.  It records a segment once every event at
+    its upper knot has fired, and waits once max_knots segments are recorded,
+    yielding (segments, degenerate, True): its own growing list of them and
+    the degenerate flag of their knots.  A larger cap sent to it continues;
+    once finished it answers every cap with (segments, degenerate, False)."""
     n, p = X.n, X.p
     Xm = X.entries
     lambda_floor = 1e-8 * lam0
@@ -331,24 +326,24 @@ def _event_loop(X: DesignMatrix, y: np.ndarray, lam0: float, max_knots: int) -> 
         u, w = (resid_slope @ Xm) / n
 
         event = _next_event(u, w, a, b, active, enterable, fired, lam_cur, lambda_floor)
-        # the cap is checked once the first event at the last knot has fired
-        while event is not None and len(segments) + 1 >= max_knots and fired.any():
-            max_knots = yield segments, degenerate, head
         if event is None:
             segments.append(head)
-            break
+            while True:
+                yield segments, degenerate, False
         lam_next, j_ev, sgn, tied = event
-        degenerate |= tied
-
         if lam_next < lam_cur * (1.0 - TIE_TOL):
             head.lo = lam_next
             segments.append(head)
+            while len(segments) >= max_knots:
+                max_knots = yield segments, degenerate, True
             lam_cur = lam_next
             fired[:] = False
         elif fired.any():
             # another event at the current knot: a zero-length segment, so
             # the active set is updated in place without recording a knot
             degenerate = True
+        # a tie at the next knot is reported with that knot's segment
+        degenerate |= tied
         if sgn != 0.0:
             grown = np.append(active, j_ev)
             Q, R, independent = _insert_column(Q, R, Xm[:, j_ev],
@@ -370,8 +365,6 @@ def _event_loop(X: DesignMatrix, y: np.ndarray, lam0: float, max_knots: int) -> 
             signs = np.delete(signs, k)
             enterable[j_ev] = True
         fired[j_ev] = True
-    while True:
-        yield segments, degenerate, None
 
 
 def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,

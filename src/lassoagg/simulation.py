@@ -140,6 +140,10 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
         raise InvalidInputError(f"unknown bound {config.bound!r}")
     if not 0 < config.x < math.inf:
         raise InvalidInputError("x must be positive and finite")
+    consts = OI if config.bound == "oi_supports" else SOI
+    if math.isfinite(config.sigma * config.sigma) and not math.isfinite(
+            consts[3] * config.sigma ** 2 * config.x):
+        raise InvalidInputError("the bound's tail term tail * sigma^2 * x / n overflows")
     with _one_blas_thread():
         inst = generate_instance(config.n, config.p, config.s, config.sigma,
                                  design_kind=config.design_kind, seed=config.seed,
@@ -160,14 +164,14 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
             points = (path.knot_segments()[1:]
                       + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
             losses, sizes = path.losses_and_sizes(points, mu)
-            rhs, j = oracle_bound(SOI, [float(np.sum(mu ** 2)) / n] + losses.tolist(),
+            rhs, j = oracle_bound(consts, [float(np.sum(mu ** 2)) / n] + losses.tolist(),
                                   [0] + sizes.tolist(), sigma_hat_sq, sigma_sq, config.x, n, p)
             minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
         else:
             family = report.family
             biases = [float(np.sum(project(X, T, mu).residual ** 2)) / n for T in family]
-            rhs, j = oracle_bound(SOI if config.bound == "soi_supports" else OI, biases,
-                                  [T.size for T in family], sigma_hat_sq, sigma_sq, config.x, n, p)
+            rhs, j = oracle_bound(consts, biases, [T.size for T in family],
+                                  sigma_hat_sq, sigma_sq, config.x, n, p)
             minimizing = f"T={family.supports[j].one_based()}"
 
     return OracleCheck(lhs=lhs, rhs=rhs, minimizing_term=minimizing, sigma_hat_sq=sigma_hat_sq)

@@ -101,7 +101,7 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
     within the default cap; a missing path, or one of other data
     (LassoPath.of), is started with one knot.  So the fit does not depend on
     the path, and it is unconverged only when the default knot cap or the
-    path's floor stops the path above the root.  Raises
+    floor stops the path above the root, at its last segment's lo.  Raises
     DegenerateVarianceError when the residual collapses: the path ends above
     the root with ||y - fit||^2 at most (RANK_TOL * ||y||)^2.
     """

@@ -168,7 +168,7 @@ def q_objective(theta, pre: PrecomputedFits, sigma_hat_sq: float) -> float:
         raise InvalidInputError("theta length does not match the family size")
     if np.any(theta < -1e-8) or abs(theta.sum() - 1.0) > 1e-8:
         raise InvalidInputError("theta is off the probability simplex")
-    sigma_hat_sq = _clamp_sigma(sigma_hat_sq)
+    sigma_hat_sq = _clamp_sigma(pre, sigma_hat_sq)
     c = _linear_coeffs(pre, sigma_hat_sq)
     return float(0.5 * theta @ (pre.gram @ theta) + theta @ c + pre.y_norm_sq)
 

@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,48 @@ def test_finite_inputs_whose_squares_overflow_exit_2(tmp_path, capsys, argv, x, 
         json.dumps({"error": "InvalidInputError", "message": message})]
 
 
+PENALTY_OVERFLOWS = "the penalty 26 * sigma_hat_sq * log(1/weight) overflows"
+
+
+@pytest.mark.parametrize("argv, scale, code", [
+    (["aggregate", "--sigma", "1e154"], 1.0, 2),
+    (["aggregate", "--sigma", "1e154", "--method", "crit"], 1.0, 2),
+    (["aggregate", "--sigma", "1e150"], 1.0, 0),
+    (["aggregate", "--sigma", "1e150", "--method", "crit"], 1.0, 0),
+    # ||y||^2 = 8.5e307 is finite, but sigma_hat^2 * log(1/w) overflows
+    (["aggregate", "--sigma-mode", "sqrt_lasso"], 1e153, 2),
+    (["aggregate", "--sigma-mode", "sqrt_lasso", "--method", "crit"], 1e153, 2),
+    (["sqrt-pipeline"], 1e153, 2),
+    (["sqrt-pipeline", "--method", "crit"], 1e153, 2),
+])
+def test_a_penalty_that_overflows_exits_2_without_a_warning(tmp_path, capsys, argv, scale, code):
+    rng = np.random.default_rng(0)
+    Xm = rng.standard_normal((20, 8))
+    y = 2.0 * Xm[:, 0] + rng.standard_normal(20)
+    save_matrix_csv(str(tmp_path / "x.csv"), Xm)
+    save_matrix_csv(str(tmp_path / "y.csv"), (scale * y).reshape(-1, 1))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                            "--out", str(out)]) == code
+    assert caught == []
+    if code == 2:
+        assert capsys.readouterr().err.splitlines() == [
+            json.dumps({"error": "InvalidInputError", "message": PENALTY_OVERFLOWS})]
+    else:
+        assert json.loads(out.read_text())["results"]["sigma_hat_sq"] == 1e150 ** 2
+
+
+def test_simulate_with_a_tail_term_that_overflows_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(lassoagg.simulation, "generate_instance", None)
+    assert main(["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "1",
+                 "--reps", "2", "--x-level", "1e308"]) == 2
+    assert capsys.readouterr().err.splitlines() == [json.dumps(
+        {"error": "InvalidInputError",
+         "message": "the bound's tail term tail * sigma^2 * x / n overflows"})]
+
+
 def test_simulate_command_and_thread_invariance(tmp_path):
     args = ["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "0.5",
             "--reps", "3", "--seed", "7"]
@@ -669,10 +712,15 @@ GOLDEN_RUNS = {
     "aggregate_q_sigma_1_max_knots_4": ["aggregate", *DATA, "--sigma", "1", "--max-knots", "4"],
     "aggregate_integer_sigma_1": ["aggregate", *INT_DATA, "--sigma", "1"],
     "aggregate_integer_sqrt_lasso": ["aggregate", *INT_DATA, "--sigma-mode", "sqrt_lasso"],
+    "aggregate_integer_sigma_1_max_knots_3": ["aggregate", *INT_DATA, "--sigma", "1",
+                                              "--max-knots", "3"],
     "path_max_knots_2": ["path", *DATA, "--max-knots", "2"],
     "path_max_knots_3_path_csv": ["path", *DATA, "--max-knots", "3", "--path-csv", "{csv}"],
+    "path_integer_max_knots_2": ["path", *INT_DATA, "--max-knots", "2"],
+    "path_integer_max_knots_4": ["path", *INT_DATA, "--max-knots", "4"],
     "path_zero_response": ["path", "--x", "{x}", "--y", "{zero}"],
     "path_wide": ["path", "--x", "{wx}", "--y", "{wy}"],
+    "path_wide_max_knots_5": ["path", "--x", "{wx}", "--y", "{wy}", "--max-knots", "5"],
     "sqrt_pipeline_crit": ["sqrt-pipeline", *DATA, "--method", "crit"],
     "sqrt_pipeline_q_paper_literal": ["sqrt-pipeline", *DATA, "--method", "q",
                                       "--grid-mode", "paper-literal"],
@@ -739,12 +787,23 @@ def test_results_match_the_golden_bytes(tmp_path):
 
 if __name__ == "__main__":
     # python3 tests/test_cli.py NAME ...: run the named GOLDEN_RUNS with the
-    # lassoagg found first on sys.path and write their entries into
-    # golden_results.json, keeping every other entry
+    # lassoagg found first on sys.path, write their entries into
+    # golden_results.json, keeping every other entry, and say which entries
+    # were added, changed or left as they were
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in GOLDEN_RUNS]
+    if not names or unknown:
+        sys.exit("usage: python3 tests/test_cli.py NAME ...\n"
+                 + (f"unknown: {' '.join(unknown)}\n" if unknown else "")
+                 + f"names: {' '.join(GOLDEN_RUNS)}")
     with open(GOLDEN_FILE) as fh:
         golden = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:
-        golden.update(_golden_results(Path(tmp), sys.argv[1:]))
+        written = _golden_results(Path(tmp), names)
+    for name, entry in written.items():
+        print(f"{name}: " + ("added" if name not in golden
+                             else "unchanged" if golden[name] == entry else "changed"))
+    golden.update(written)
     with open(GOLDEN_FILE, "w") as fh:
         fh.write(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(sys.argv) - 1} entries with {lassoagg.cli.__file__}")
+    print(f"wrote {len(written)} entries with {lassoagg.cli.__file__}")

@@ -153,11 +153,16 @@ def test_natural_end_on_the_cap_is_not_truncated():
     ((1.0, 0.8, 0.5, 0.0), [0.5, 0.4, 0.25], [(0,), (0, 1), (0, 1, 2)], False),
 ])
 def test_tied_events_share_a_knot(y, knots, supports, degenerate):
-    path = compute_path(DesignMatrix(2.0 * np.eye(4)[:, :3]), np.array(y))
+    X = DesignMatrix(2.0 * np.eye(4)[:, :3])
+    path = compute_path(X, np.array(y))
     assert path.knots.tolist() == pytest.approx(knots, rel=1e-12)
     assert [T.indices for T in path.supports] == supports
     assert path.degenerate is degenerate
     assert not path.truncated
+    # a cap waits until every event at its last knot has fired: at one knot
+    # of the tied path the support is (0, 1), not (0,)
+    for cap in range(1, len(knots) + 1):
+        assert compute_path(X, np.array(y), max_knots=cap).supports == path.supports[:cap]
 
 
 def test_duplicated_columns_do_not_crash():
@@ -335,6 +340,7 @@ def test_a_continued_path_runs_one_blas_thread_and_no_pin_outlives_it(monkeypatc
         monkeypatch.setattr(lassoagg.path, "_next_event", spy)
         fit = sqrt_lasso(X, y, 0.1, path=capped)
         assert _openblas_thread_counts() == [2] * len(controls)
-    # the root lies past the capped path: its loop continued
-    assert fit.iterations > 1 and len(seen) >= fit.iterations
+    # the root lies past the capped path: its loop continued, with one
+    # search for the lower end of each segment past the first
+    assert fit.iterations > 1 and len(seen) == fit.iterations - 1
     assert seen == [[1] * len(controls)] * len(seen)

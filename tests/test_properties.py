@@ -3,10 +3,10 @@ fitted values and the least-squares fits that path and grid families carry,
 all read off the Lasso path, checked against their optimality conditions,
 the coordinate-descent reference, X beta and the pivoted-QR projection of
 tests/oracles.py; the homotopy's event search, checked against its
-candidate-list form, and its loop continued past a knot cap, checked
-against the uncapped path; the Q-aggregation QP, checked against its
-Frank-Wolfe gap and every vertex; the CLI's CSV round trip; and the CLI's
-CSV loaders, checked against their Python reader alone."""
+candidate-list form, and its capped paths and their loops continued past
+the cap, checked against the uncapped path; the Q-aggregation QP, checked
+against its Frank-Wolfe gap and every vertex; the CLI's CSV round trip;
+and the CLI's CSV loaders, checked against their Python reader alone."""
 
 import math
 import os
@@ -120,16 +120,17 @@ def test_a_continued_path_is_the_uncapped_path(data, max_knots):
     full = compute_path(X, y)
     capped = compute_path(X, y, max_knots=max_knots)
     assert (capped.loop is not None) == capped.truncated
+    # a capped path is the uncapped path's first max_knots segments
+    assert path_bytes(capped)[-1] == path_bytes(full)[-1][:max_knots]
     if capped.loop is None:
         assert path_bytes(capped) == path_bytes(full)
         return
     before = path_bytes(capped)
     # continued to the default cap, the loop has recorded the uncapped path
     with _one_blas_thread():
-        segments, degenerate, head = capped.loop.send(10 * min(X.shape) + 10)
-    segments = segments + ([head] if head is not None else [])
-    continued = LassoPath(segments=segments, degenerate=degenerate, design=full.design,
-                          response=full.response, loop=None if head is None else capped.loop)
+        segments, degenerate, waiting = capped.loop.send(10 * min(X.shape) + 10)
+    continued = LassoPath(segments=list(segments), degenerate=degenerate, design=full.design,
+                          response=full.response, loop=capped.loop if waiting else None)
     for path in (full, capped, continued):
         assert path.knots.tolist() == [seg.hi for seg in path.segments]
     assert path_bytes(continued) == path_bytes(full)

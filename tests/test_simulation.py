@@ -304,6 +304,9 @@ def test_monte_carlo_rejects_seeds_before_any_replication(monkeypatch, seed, rep
     (TrialConfig(x=-1.0), "x must be positive and finite"),
     (TrialConfig(x=math.inf), "x must be positive and finite"),
     (TrialConfig(x=math.nan), "x must be positive and finite"),
+    (TrialConfig(x=1e308), "tail term"),
+    # 22 * 7e306 is finite, 28 * 7e306 is not
+    (TrialConfig(x=7e306, bound="oi_supports"), "tail term"),
 ])
 def test_trials_reject_unknown_modes_before_generating_data(monkeypatch, config, message):
     monkeypatch.setattr(lassoagg.simulation, "generate_instance", _no_instance)

@@ -224,8 +224,9 @@ def test_sqrt_lasso_searches_a_capped_path_before_continuing_it(monkeypatch):
     calls = []
     monkeypatch.setattr(lassoagg.path, "compute_path",
                         lambda *args, **kw: calls.append(kw) or compute_path(*args, **kw))
-    # a cap of m knots leaves m - 1 exact segments: the root on segment k
-    # needs m > k; at lower caps the path's own loop continues to the root
+    # a cap of m knots leaves the uncapped path's first m segments: the root
+    # on segment k needs m >= k; at lower caps the path's own loop continues
+    # to the root
     for cap in (k + 1, k + 4, k, 1):
         capped = compute_path(X, y, max_knots=cap)
         assert capped.truncated
@@ -249,10 +250,11 @@ def test_sqrt_lasso_searches_no_further_than_its_root(monkeypatch):
     searches = []
     monkeypatch.setattr(lassoagg.path, "_next_event",
                         lambda *args: searches.append(None) or real(*args))
-    # the loop heads of the knots up to the root's lower end, and the next
-    compute_path(X, y, max_knots=k + 1)
+    # the entry at lambda_0, then one search for the lower end of each
+    # segment up to the root's
+    compute_path(X, y, max_knots=k)
     needed = len(searches)
-    assert needed == k + 2
+    assert needed == k + 1
     searches.clear()
     sqrt_lasso(X, y, lam)
     assert len(searches) == needed
@@ -263,23 +265,23 @@ def test_sqrt_lasso_searches_no_further_than_its_root(monkeypatch):
         assert len(searches) == max(needed, cap + 1)
 
 
-@pytest.mark.parametrize("default_cap", [3, 4, 6])
+@pytest.mark.parametrize("default_cap", [3, 4, 5])
 def test_sqrt_lasso_reads_no_further_than_the_default_cap(monkeypatch, default_cap):
     X, y, lam, expected = _capped_instance()
-    assert expected.iterations >= default_cap
+    assert expected.iterations > default_cap
     monkeypatch.setattr(lassoagg.path, "_default_max_knots", lambda X: default_cap)
     compute_path = lassoagg.path.compute_path
-    # the root lies below the default cap: the fit at its last knot, whatever
-    # the cap of the path given, longer paths included
+    # the root lies below the default cap: the fit at the lower end of its
+    # last segment, whatever the cap of the path given, longer paths included
     fits = [sqrt_lasso(X, y, lam, path=None if cap is None else compute_path(X, y, max_knots=cap))
             for cap in (None, 1, default_cap - 1, default_cap, default_cap + 1, 50)]
     for fit in fits:
-        assert not fit.converged and fit.iterations == default_cap - 1
+        assert not fit.converged and fit.iterations == default_cap
         assert fit.sigma_hat_sq == fits[0].sigma_hat_sq
         assert np.array_equal(fit.beta, fits[0].beta)
     full = compute_path(X, y)
-    last = full.segments[default_cap - 2]
-    assert np.array_equal(fits[0].beta, last.beta(full.knots[default_cap - 1], X.p))
+    last = full.segments[default_cap - 1]
+    assert np.array_equal(fits[0].beta, last.beta(last.lo, X.p))
 
 
 def test_universal_lambda_values_and_scaling():
