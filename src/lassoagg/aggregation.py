@@ -24,6 +24,7 @@ CRIT_PENALTY = 18.0
 Q_PENALTY = 26.0
 # q_aggregate makes at most this many working-set changes per support.
 WORKING_SET_CHANGES_PER_SUPPORT = 10
+Q_OVERFLOWS = "the Q-aggregation objective overflows"
 
 
 @dataclass
@@ -132,8 +133,14 @@ def crit_select(pre: PrecomputedFits, sigma_hat_sq: float) -> CritResult:
 
 
 def _linear_coeffs(pre: PrecomputedFits, sigma_hat_sq: float) -> np.ndarray:
-    return (-2.0 * pre.y_dot + 0.5 * np.diag(pre.gram)
-            + Q_PENALTY * sigma_hat_sq * pre.log_inv_weights)
+    """-2 y^T P_T y + 0.5 ||P_T y||^2 + 26 sigma_hat_sq log(1/w_T) for each
+    support T; they overflow when ||y||^2 nears the largest float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (-2.0 * pre.y_dot + 0.5 * np.diag(pre.gram)
+             + Q_PENALTY * sigma_hat_sq * pre.log_inv_weights)
+    if not np.all(np.isfinite(c)):
+        raise InvalidInputError(Q_OVERFLOWS)
+    return c
 
 
 def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float) -> QAggResult:
@@ -162,8 +169,10 @@ def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float) -> QAggResult:
     G = pre.gram
     c = _linear_coeffs(pre, sigma_hat_sq)
 
-    # vertex objectives: H(e_k) = 0.5*G_kk + c_k + ||y||^2
-    vertex_vals = 0.5 * np.diag(G) + c + pre.y_norm_sq
+    # vertex objectives: H(e_k) = 0.5*G_kk + c_k + ||y||^2, which overflow
+    # when ||y - P_T y||^2 + 26 sigma_hat_sq log(1/w_T) does
+    with np.errstate(over="ignore"):
+        vertex_vals = 0.5 * np.diag(G) + c + pre.y_norm_sq
     theta = np.zeros(M)
     working = [int(np.argmin(vertex_vals))]
     theta[working] = 1.0
@@ -209,8 +218,12 @@ def q_aggregate(pre: PrecomputedFits, sigma_hat_sq: float) -> QAggResult:
         changes += 1
 
     grad = G @ theta + c
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = float(0.5 * theta @ (G @ theta) + theta @ c + pre.y_norm_sq)
+    if not math.isfinite(objective):
+        raise InvalidInputError(Q_OVERFLOWS)
     return QAggResult(theta_hat=SimplexWeights(theta), mu_hat=pre.fitted_vectors @ theta,
-                      objective=float(0.5 * theta @ (G @ theta) + theta @ c + pre.y_norm_sq),
+                      objective=objective,
                       fw_gap=float(grad @ theta - np.min(grad)),
                       sigma_hat_sq_used=sigma_hat_sq, converged=converged,
                       iterations=changes)

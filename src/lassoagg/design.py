@@ -16,6 +16,10 @@ RANK_TOL = 1e-10
 # Coefficients with magnitude above this count as part of the support.
 # Coordinate descent and the path produce zeros up to round-off, which this guards.
 SUPPORT_THRESH = 1e-10
+# scipy's QR update kernels, called below their batch wrapper (functools'
+# __wrapped__), which costs several microseconds a call
+_qr_insert = getattr(scipy.linalg.qr_insert, "__wrapped__", scipy.linalg.qr_insert)
+_qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 
 
 class DesignMatrix:
@@ -85,6 +89,15 @@ class Support:
         object.__setattr__(self, "indices", idx)
 
     @classmethod
+    def of_sorted(cls, indices: tuple) -> "Support":
+        """The support of indices that are already a strictly increasing
+        tuple of nonnegative Python ints, built without validating them
+        again; outside input goes through the constructor."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "indices", indices)
+        return T
+
+    @classmethod
     def from_beta(cls, beta) -> "Support":
         """The coefficients of beta above SUPPORT_THRESH in magnitude."""
         beta = np.asarray(beta, dtype=float).ravel()
@@ -122,7 +135,7 @@ def _insert_column(Q: np.ndarray, R: np.ndarray, x: np.ndarray,
     if k >= Q.shape[0]:
         return Q, R, False
     try:
-        Q1, R1 = scipy.linalg.qr_insert(Q, R, x, k, which="col", check_finite=False)
+        Q1, R1 = _qr_insert(Q, R, x, k, which="col", check_finite=False)
     except np.linalg.LinAlgError:   # x is numerically in the span of Q
         return Q, R, False
     if abs(R1[k, k]) <= tol:
@@ -154,8 +167,7 @@ def project(X: DesignMatrix, T: Support, v) -> ProjectionResult:
             # one block call gives the bits of one _insert_column per column
             # when it keeps them all; otherwise they go in one at a time
             try:
-                Q1, R1 = scipy.linalg.qr_insert(Q, R, cols[:, 1:], 1, which="col",
-                                                check_finite=False)
+                Q1, R1 = _qr_insert(Q, R, cols[:, 1:], 1, which="col", check_finite=False)
                 if R1.shape[0] == R1.shape[1] and np.all(np.abs(np.diag(R1)) > tol):
                     Q, R = Q1, R1
                     break

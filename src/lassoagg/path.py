@@ -22,11 +22,10 @@ from functools import cached_property, lru_cache
 from typing import Dict, Generator, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 from .design import (RANK_TOL, SUPPORT_THRESH, DesignMatrix, Support, _insert_column,
-                     as_design, as_response)
+                     _qr_delete, as_design, as_response)
 from .errors import InvalidInputError
 # lasso_cd is unused here, but perfbench/tracing.py wraps it at this module
 from .solvers import lasso_cd  # noqa: F401
@@ -50,7 +49,7 @@ class PathSegment:
 
     @property
     def support(self) -> Support:
-        return Support(tuple(sorted(self.active)))
+        return Support.of_sorted(tuple(sorted(self.active)))
 
     def beta(self, lam: float, p: int) -> np.ndarray:
         beta = np.zeros(p)
@@ -285,16 +284,22 @@ def _event_loop(X: DesignMatrix, y: np.ndarray, lam0: float, max_knots: int) -> 
     its upper knot has fired, and waits once max_knots segments are recorded,
     yielding (segments, degenerate, True): its own growing list of them and
     the degenerate flag of their knots.  A larger cap sent to it continues;
-    once finished it answers every cap with (segments, degenerate, False)."""
+    once finished it answers every cap with (segments, degenerate, False).
+
+    The k active columns are a tuple, in order of entry, which the segments
+    share; their signs and column norms fill slots [:k] of arrays of
+    min(n, p) entries, the most columns X_A can hold.  The columns whose
+    event fired at the current knot are a list, passed to _next_event."""
     n, p = X.n, X.p
     Xm = X.entries
     lambda_floor = 1e-8 * lam0
+    # lambda_floor > 0 on every path; a zero floor still admits only positive times
+    low = max(lambda_floor, _SMALLEST_POSITIVE)
     segments: List[PathSegment] = []
     degenerate = False
-    active = np.empty(0, dtype=np.intp)   # active columns, in order of entry
-    signs = np.empty(0)                   # their signs on the current segment
-    # the same columns for the segments, which share their int objects
-    active_cols: Tuple[int, ...] = ()
+    active: Tuple[int, ...] = ()          # active columns, in order of entry
+    signs = np.empty(min(n, p))           # their signs on the current segment
+    norms = np.empty(min(n, p))           # their column norms
     lam_cur = lam0
     col_norms = np.sqrt(X.column_norms_sq)
     enterable = col_norms > 0.0       # nonzero columns that are not active
@@ -303,29 +308,31 @@ def _event_loop(X: DesignMatrix, y: np.ndarray, lam0: float, max_knots: int) -> 
     R = np.empty((0, 0))
     # columns whose event fired at the current knot; they may not fire again
     # at the same lambda (prevents add/drop cycling on simultaneous events)
-    fired = np.zeros(p, dtype=bool)
+    fired: List[int] = []
     trtrs = scipy.linalg.lapack.dtrtrs
     resid_slope = np.empty((2, n))    # rows y - fit and slope of the segment
 
     while True:
+        k = len(active)
         z = Q.T @ y
         fit = Q @ z                       # P_A y: X beta at lam = 0 on this segment
-        if active.size:
-            # a = R^-1 Q^T y and b = n R^-1 R^-T s, by LAPACK triangular solves
-            v = trtrs(R, signs, trans=1)[0]
-            ab = trtrs(R, np.column_stack((z, v)))[0]
+        if k:
+            # a = R^-1 Q^T y and b = n R^-1 R^-T s, by LAPACK triangular solves;
+            # the right-hand side (z, v) is Fortran-ordered, as dtrtrs takes it
+            v = trtrs(R, signs[:k], trans=1)[0]
+            ab = trtrs(R, np.array((z, v)).T)[0]
             a, b = ab[:, 0], n * ab[:, 1]
             slope = n * (Q @ v)           # X_A b
         else:
             a = b = np.zeros(0)
             slope = np.zeros(n)
-        head = PathSegment(hi=lam_cur, lo=lambda_floor, active=active_cols,
+        head = PathSegment(hi=lam_cur, lo=lambda_floor, active=active,
                            a=a, b=b, fit=fit, slope=slope)
         np.subtract(y, fit, out=resid_slope[0])
         resid_slope[1] = slope
         u, w = (resid_slope @ Xm) / n
 
-        event = _next_event(u, w, a, b, active, enterable, fired, lam_cur, lambda_floor)
+        event = _next_event(u, w, a, b, active, enterable, fired, lam_cur, low)
         if event is None:
             segments.append(head)
             while True:
@@ -337,58 +344,55 @@ def _event_loop(X: DesignMatrix, y: np.ndarray, lam0: float, max_knots: int) -> 
             while len(segments) >= max_knots:
                 max_knots = yield segments, degenerate, True
             lam_cur = lam_next
-            fired[:] = False
-        elif fired.any():
+            fired = []
+        elif fired:
             # another event at the current knot: a zero-length segment, so
             # the active set is updated in place without recording a knot
             degenerate = True
         # a tie at the next knot is reported with that knot's segment
         degenerate |= tied
         if sgn != 0.0:
-            grown = np.append(active, j_ev)
-            Q, R, independent = _insert_column(Q, R, Xm[:, j_ev],
-                                               RANK_TOL * col_norms[grown].max())
+            Q, R, independent = _insert_column(
+                Q, R, Xm[:, j_ev], RANK_TOL * norms[:k].max(initial=col_norms[j_ev]))
             if independent:
-                active = grown
-                active_cols += (j_ev,)
-                signs = np.append(signs, sgn)
+                active += (j_ev,)
+                signs[k] = sgn
+                norms[k] = col_norms[j_ev]
                 enterable[j_ev] = False
             else:
                 # X_j lies in the span of the active columns
                 degenerate = True
         else:
-            k = int(np.flatnonzero(active == j_ev)[0])
-            Q, R = scipy.linalg.qr_delete(Q, R, k, which="col", check_finite=False)
+            i = active.index(j_ev)
+            Q, R = _qr_delete(Q, R, i, which="col", check_finite=False)
             Q, R = Q[:, :R.shape[1]], R[:R.shape[1]]
-            active = np.delete(active, k)
-            active_cols = active_cols[:k] + active_cols[k + 1:]
-            signs = np.delete(signs, k)
+            active = active[:i] + active[i + 1:]
+            signs[i:k - 1] = signs[i + 1:k]
+            norms[i:k - 1] = norms[i + 1:k]
             enterable[j_ev] = True
-        fired[j_ev] = True
+        fired.append(j_ev)
 
 
 def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
-                active: np.ndarray, enterable: np.ndarray, fired: np.ndarray,
-                lam_cur: float, lambda_floor: float
-                ) -> Optional[Tuple[float, int, float, bool]]:
+                active: Tuple[int, ...], enterable: np.ndarray, fired: Sequence[int],
+                lam_cur: float, low: float) -> Optional[Tuple[float, int, float, bool]]:
     """The homotopy's next event at or below lam_cur, or None if none is left.
 
     Column j may enter with sign +1 or -1 at u_j / (+-1 - w_j) if it is
     enterable and the denominator is at least 1e-14 in magnitude; active
     column active[i] may drop at a_i / b_i if b_i != 0.  An event counts if
-    its time is positive and lies in [lambda_floor, lam_cur * (1 + TIE_TOL)),
-    unless its column is marked in fired (the columns whose event fired at
-    the current knot) and its time is at least lam_cur * (1 - TIE_TOL).  Times
-    are clamped to lam_cur, which must be at least lambda_floor.  The events
-    within TIE_TOL of the latest are tied; of these the lowest column wins,
-    its +1 entry before its -1 entry.  Returns (lambda, column, sign, tied):
-    sign is +-1 for an entry and 0 for a drop, and tied says that more than
-    one event was tied.
+    its time lies in [low, lam_cur * (1 + TIE_TOL)), unless its column is in
+    fired (the columns whose event fired at the current knot) and its time
+    is at least lam_cur * (1 - TIE_TOL).  low is the floor, which must be
+    positive: the path's max(lambda_floor, smallest subnormal).  Times are
+    clamped to lam_cur, which must be at least low.  The events within
+    TIE_TOL of the latest are tied; of these the lowest column wins, its +1
+    entry before its -1 entry.  Returns (lambda, column, sign, tied): sign is
+    +-1 for an entry and 0 for a drop, and tied says that more than one
+    event was tied.
     """
     p = w.size
     upper = lam_cur * (1.0 + TIE_TOL)
-    # lambda_floor > 0 on every path; a zero floor still admits only positive times
-    low = max(lambda_floor, _SMALLEST_POSITIVE)
     # event times, in the order of the tie rules: the entries with sign +1,
     # then those with sign -1, both by column, then the drops; an event
     # that cannot fire has time -inf, and a time below low is left to the
@@ -400,17 +404,20 @@ def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
     np.divide(u, denom, out=t[:2 * p].reshape(2, p), where=ok)
     np.divide(a, b, out=t[2 * p:], where=b != 0.0)
     np.putmask(t, t >= upper, -np.inf)
-    refired = np.concatenate((fired, fired, fired[active]))
-    refired &= t >= lam_cur * (1.0 - TIE_TOL)
-    np.putmask(t, refired, -np.inf)
+    at_knot = lam_cur * (1.0 - TIE_TOL)
+    for j in fired:
+        # column j's entries and, if it is active, its drop
+        for i in (j, p + j, 2 * p + active.index(j)) if j in active else (j, p + j):
+            if t[i] >= at_knot:
+                t[i] = -np.inf
     np.minimum(t, lam_cur, out=t)
     latest = t.max()
     if not latest >= low:
         return None
-    tied = np.flatnonzero(t >= max(latest * (1.0 - TIE_TOL), low)).tolist()
+    tied = (t >= max(latest * (1.0 - TIE_TOL), low)).nonzero()[0].tolist()
 
     def column(i: int) -> int:
-        return i if i < p else i - p if i < 2 * p else int(active[i - 2 * p])
+        return i if i < p else i - p if i < 2 * p else active[i - 2 * p]
 
     i = min(tied, key=lambda i: (column(i), i))
     sign = 1.0 if i < p else -1.0 if i < 2 * p else 0.0
@@ -420,5 +427,6 @@ def _next_event(u: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
 def path_support_family(path: LassoPath) -> SupportFamily:
     """Deduplicated supports appearing on the path, empty support included,
     in order of first appearance, carrying the path and so their fits."""
-    return SupportFamily(supports=tuple(map(Support, path.fits)), source="path", path=path)
+    return SupportFamily(supports=tuple(map(Support.of_sorted, path.fits)), source="path",
+                         path=path)
 

@@ -420,6 +420,54 @@ def test_a_penalty_that_overflows_exits_2_without_a_warning(tmp_path, capsys, ar
         assert json.loads(out.read_text())["results"]["sigma_hat_sq"] == 1e150 ** 2
 
 
+@pytest.mark.parametrize("method, y_norm_sq, code", [
+    # -2 y^T P_T y overflows for the fits near y
+    ("q", 1.5e308, 2),
+    ("q", 8.5e307, 0),
+    ("crit", 1.5e308, 0),
+    ("crit", 8.5e307, 0),
+])
+def test_q_coefficients_that_overflow_exit_2_without_a_warning(tmp_path, capsys, method,
+                                                               y_norm_sq, code):
+    rng = np.random.default_rng(0)
+    Xm = rng.standard_normal((20, 8))
+    y = Xm @ rng.standard_normal(8) + 0.01 * rng.standard_normal(20)
+    save_matrix_csv(str(tmp_path / "x.csv"), Xm)
+    save_matrix_csv(str(tmp_path / "y.csv"), (y * np.sqrt(y_norm_sq / (y @ y))).reshape(-1, 1))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["aggregate", "--sigma", "1", "--method", method,
+                     "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                     "--out", str(out)]) == code
+    assert caught == []
+    if code == 2:
+        assert capsys.readouterr().err.splitlines() == [json.dumps(
+            {"error": "InvalidInputError", "message": "the Q-aggregation objective overflows"})]
+    else:
+        assert json.loads(out.read_text())["results"]["method"] == method
+
+
+@pytest.mark.parametrize("sigma, code", [("2.1e153", 2), ("1e150", 0)])
+def test_a_q_objective_that_overflows_exits_2_without_a_warning(tmp_path, capsys, sigma, code):
+    # y is almost orthogonal to the one column, so the coefficients are
+    # finite, but every vertex's ||y - P_T y||^2 + 26 sigma^2 log(1/w_T) overflows
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(20)
+    y = rng.standard_normal(20)
+    y += (1e-3 - (x @ y) / (x @ x)) * x
+    save_matrix_csv(str(tmp_path / "x.csv"), x.reshape(-1, 1))
+    save_matrix_csv(str(tmp_path / "y.csv"), (y * np.sqrt(1.5e308 / (y @ y))).reshape(-1, 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["aggregate", "--sigma", sigma, "--x", str(tmp_path / "x.csv"),
+                     "--y", str(tmp_path / "y.csv"), "--out", str(tmp_path / "r.json")]) == code
+    assert caught == []
+    if code == 2:
+        assert capsys.readouterr().err.splitlines() == [json.dumps(
+            {"error": "InvalidInputError", "message": "the Q-aggregation objective overflows"})]
+
+
 def test_simulate_with_a_tail_term_that_overflows_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(lassoagg.simulation, "generate_instance", None)
     assert main(["simulate", "--n", "20", "--p", "6", "--s", "1", "--sigma", "1",
@@ -721,6 +769,7 @@ GOLDEN_RUNS = {
     "path_zero_response": ["path", "--x", "{x}", "--y", "{zero}"],
     "path_wide": ["path", "--x", "{wx}", "--y", "{wy}"],
     "path_wide_max_knots_5": ["path", "--x", "{wx}", "--y", "{wy}", "--max-knots", "5"],
+    "path_equicorrelated_saturating": ["path", "--x", "{ex}", "--y", "{ey}"],
     "sqrt_pipeline_crit": ["sqrt-pipeline", *DATA, "--method", "crit"],
     "sqrt_pipeline_q_paper_literal": ["sqrt-pipeline", *DATA, "--method", "q",
                                       "--grid-mode", "paper-literal"],
@@ -731,6 +780,10 @@ GOLDEN_RUNS = {
     "simulate_oi_supports_crit_sigma_0.1": [*SIMULATE_LOW_NOISE, "--bound", "oi_supports"],
     "simulate_soi_supports_crit_sigma_0.1": [*SIMULATE_LOW_NOISE, "--bound", "soi_supports"],
     "simulate_x_0_exits_2": [*SIMULATE, "--x", "0"],
+    # the operation of the benchmark's mc-oracle workload
+    "simulate_n_100_p_200_q_soi_path": ["simulate", "--n", "100", "--p", "200", "--s", "5",
+                                        "--sigma", "1", "--x", "3", "--method", "q",
+                                        "--bound", "soi_path", "--reps", "2", "--seed", "0"],
     "weights_p_6": ["weights", "--p", "6"],
 }
 GOLDEN_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_results.json")
@@ -743,7 +796,9 @@ def _golden_results(tmp_path, names=tuple(GOLDEN_RUNS)):
     one fixed (30, 20) instance, whose square-root-Lasso root at the
     universal penalty lies on segment 6 of its path, or its design with a
     zero response.  The integer (12, 9) design has a repeated, a negated and
-    a doubled column, so its path is degenerate; the (15, 40) one has p > n."""
+    a doubled column, so its path is degenerate; the (15, 40) one has p > n,
+    and so has the equicorrelated (60, 150) one, whose path saturates at 60
+    active columns."""
     rng = np.random.default_rng(0)
     Xm = 3.0 * rng.standard_normal((30, 20))
     beta = np.zeros(20)
@@ -758,7 +813,9 @@ def _golden_results(tmp_path, names=tuple(GOLDEN_RUNS)):
     rng = np.random.default_rng(5)
     Xw = rng.standard_normal((15, 40))
     yw = Xw[:, [0, 7, 21]] @ np.array([2.0, -1.5, 1.0]) + 0.3 * rng.standard_normal(15)
-    data = {"x": Xm, "y": y, "zero": np.zeros(30), "ix": Xi, "iy": yi, "wx": Xw, "wy": yw}
+    inst = generate_instance(60, 150, 5, 1.0, design_kind="equicorrelated", seed=0)
+    data = {"x": Xm, "y": y, "zero": np.zeros(30), "ix": Xi, "iy": yi, "wx": Xw, "wy": yw,
+            "ex": inst.X.entries, "ey": inst.y}
     files = {key: str(tmp_path / f"g{key}.csv") for key in data}
     for key, values in data.items():
         save_matrix_csv(files[key], values.reshape(len(values), -1))

@@ -6,7 +6,8 @@ import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lassoagg.design import RANK_TOL, DesignMatrix, Support, _insert_column, project
+from lassoagg.design import (RANK_TOL, DesignMatrix, Support, _insert_column, _qr_delete,
+                             _qr_insert, project)
 from lassoagg.errors import InvalidInputError
 from oracles import pivoted_project
 
@@ -191,3 +192,32 @@ def test_a_block_insert_gives_the_bits_of_one_insert_per_column(seed):
         Q, R, independent = _insert_column(Q, R, Xm[:, j], tol)
         assert independent
     assert np.array_equal(Qb, Q) and np.array_equal(Rb, R)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_direct_qr_kernels_give_the_bits_of_the_public_ones(seed):
+    # _insert_column and the homotopy's deletions call scipy's QR updates
+    # below their batch wrapper; on the same inputs the public functions
+    # give the same bits
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 121))
+    k = int(rng.integers(2, min(n, 60) + 1))
+    Xm = rng.standard_normal((n, k)) if seed % 2 else rng.integers(-9, 10, (n, k)).astype(float)
+    tol = RANK_TOL * np.sqrt((Xm ** 2).sum(axis=0)).max()
+    Q, R, _ = _insert_column(np.empty((n, 0)), np.empty((0, 0)), Xm[:, 0], tol)
+    Qb, Rb = _qr_insert(Q, R, Xm[:, 1:], 1, which="col", check_finite=False)
+    expected = scipy.linalg.qr_insert(Q, R, Xm[:, 1:], 1, which="col", check_finite=False)
+    assert np.array_equal(Qb, expected[0]) and np.array_equal(Rb, expected[1])
+    for j in range(1, k):
+        expected = scipy.linalg.qr_insert(Q, R, Xm[:, j], j, which="col", check_finite=False)
+        Q, R, independent = _insert_column(Q, R, Xm[:, j], tol)
+        assert independent
+        assert np.array_equal(Q, expected[0]) and np.array_equal(R, expected[1])
+    # drop columns from the middle, the front and the end, as the homotopy does
+    for i in (k // 2, 0, k - 3):
+        if i < 0 or i >= R.shape[1]:
+            continue
+        expected = scipy.linalg.qr_delete(Q, R, i, which="col", check_finite=False)
+        Q, R = _qr_delete(Q, R, i, which="col", check_finite=False)
+        assert np.array_equal(Q, expected[0]) and np.array_equal(R, expected[1])
+        Q, R = Q[:, :R.shape[1]], R[:R.shape[1]]

@@ -24,8 +24,8 @@ from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
 from lassoagg.cli import load_matrix_csv, load_vector_csv, save_matrix_csv
 from lassoagg.design import SUPPORT_THRESH, Support
 from lassoagg.errors import DegenerateVarianceError
-from lassoagg.path import (TIE_TOL, LassoPath, SupportFamily, _next_event, _one_blas_thread,
-                           compute_path, path_support_family)
+from lassoagg.path import (_SMALLEST_POSITIVE, TIE_TOL, LassoPath, SupportFamily, _next_event,
+                           _one_blas_thread, compute_path, path_support_family)
 from lassoagg.pipelines import sqrt_lasso_pipeline
 from lassoagg.simulation import generate_instance
 from lassoagg.solvers import lasso_cd, sqrt_lasso, sqrt_lasso_universal_lambda
@@ -250,11 +250,30 @@ def event_searches(draw):
 @settings(max_examples=1000, deadline=None)
 @given(event_searches())
 def test_event_search_matches_the_candidate_list(args):
+    u, w, a, b, active, enterable, fired, lam_cur, lambda_floor = args
     expected = _candidate_list_event(*args)
-    found = _next_event(*args)
+    # the loop passes the active columns as a tuple, the fired ones as a
+    # list and the floor as at least the smallest positive float
+    found = _next_event(u, w, a, b, tuple(active.tolist()), enterable,
+                        np.flatnonzero(fired).tolist(), lam_cur,
+                        max(lambda_floor, _SMALLEST_POSITIVE))
     assert found == expected
     if found is not None:
         assert [type(v) for v in found] == [float, int, float, bool]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wide_instances(), tied_designs()))
+def test_path_supports_equal_validated_supports(data):
+    X, y = data
+    family = path_support_family(compute_path(X, y))
+    validated = [Support(T.indices) for T in family]
+    assert list(family) == validated
+    assert [hash(T) for T in family] == [hash(T) for T in validated]
+    assert sorted(family) == sorted(validated)
+    for T, V in zip(family, validated):
+        assert all(type(j) is int for j in T.indices)
+        assert (T < V, T <= V, T > V) == (False, True, False)
 
 
 def _families_with_fits(X, y):
