@@ -94,9 +94,10 @@ def precompute(X, y, family: SupportFamily) -> PrecomputedFits:
     )
 
 
-def crit_value(resid_sq: float, log_inv_w: float, sigma_hat_sq: float) -> float:
-    """Penalized selection criterion: resid_sq + 18 * sigma_hat_sq * log_inv_w."""
-    if resid_sq < 0 or log_inv_w < 0 or sigma_hat_sq < 0:
+def crit_value(resid_sq, log_inv_w, sigma_hat_sq: float):
+    """Penalized selection criterion resid_sq + 18 * sigma_hat_sq * log_inv_w,
+    elementwise over arrays of residuals and weights."""
+    if np.any(resid_sq < 0) or np.any(log_inv_w < 0) or sigma_hat_sq < 0:
         raise InvalidInputError("criterion arguments must be nonnegative")
     return resid_sq + CRIT_PENALTY * sigma_hat_sq * log_inv_w
 
@@ -118,16 +119,11 @@ def crit_select(pre: PrecomputedFits, sigma_hat_sq: float) -> CritResult:
     Ties are broken by smaller support size, then lexicographic indices.
     """
     sigma_hat_sq = _clamp_sigma(pre, sigma_hat_sq)
-    best = None
-    fit_norms_sq = np.diag(pre.gram)
-    for j, T in enumerate(pre.family):
-        resid_sq = max(pre.y_norm_sq - fit_norms_sq[j], 0.0)
-        val = crit_value(resid_sq, pre.log_inv_weights[j], sigma_hat_sq)
-        key = (val, T.size, T.indices)
-        if best is None or key < best[0]:
-            best = (key, j, T, val)
-    _, j, T, val = best
-    return CritResult(chosen=T, crit_value=val,
+    supports = pre.family.supports
+    vals = crit_value(np.maximum(pre.y_norm_sq - np.diag(pre.gram), 0.0),
+                      pre.log_inv_weights, sigma_hat_sq)
+    j = min(range(pre.size), key=lambda j: (vals[j], supports[j].size, supports[j].indices))
+    return CritResult(chosen=supports[j], crit_value=vals[j],
                       mu_hat=pre.fitted_vectors[:, j].copy(),
                       sigma_hat_sq_used=sigma_hat_sq)
 

@@ -1,16 +1,17 @@
 """Batch command-line interface: CSV ingestion, pipeline dispatch, and
 canonical JSON reporting.
 
-Exit codes: 0 success, 2 invalid input, 3 solver non-convergence (the report
-is still written).  The results section of a report is byte-identical across
-runs with the same config and seed; volatile data (timestamps, timings) live
-in the environment section.
+Exit codes: 0 success, 2 invalid input or a failed allocation, 3 solver
+non-convergence (the report is still written).  The results section of a
+report is byte-identical across runs with the same config and seed; volatile
+data (timestamps, timings) live in the environment section.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -217,6 +218,7 @@ def _add_common_flags(p):
     p.add_argument("--out", help="report output path (default: stdout)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lassoagg",
                                      description="Lasso-path support aggregation toolkit")
@@ -345,8 +347,8 @@ def _cmd_weights(args):
     results = {
         "p": p,
         "log_inv_weight_by_size": weight_table(p),
-        "bounds_hold": verify_weight_bounds(p) if p <= 64 else None,
-        "total_mass": total_mass(p) if p <= 30 else None,
+        "bounds_hold": verify_weight_bounds(p),
+        "total_mass": total_mass(p),
     }
     return results, None, 0
 
@@ -371,9 +373,10 @@ def main(argv=None) -> int:
             config = {k: v for k, v in vars(args).items() if k not in NOT_ECHOED}
             write_report(config, results, environment, args.out)
             return code
-    except (InvalidInputError, DegenerateVarianceError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+    except (InvalidInputError, DegenerateVarianceError, MemoryError) as exc:
+        # numpy refuses an allocation with a private subclass of MemoryError
+        error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

@@ -50,21 +50,14 @@ def weight_table(p: int) -> np.ndarray:
 
 def verify_weight_bounds(p: int) -> bool:
     """Check k <= log(1/weight) <= 1/2 + 2k*log(ep/(k v 1)) for k = 0..p."""
-    if not 1 <= p <= 64:
-        raise InvalidInputError("verify_weight_bounds is a test utility for 1 <= p <= 64")
-    for k in range(p + 1):
-        w = log_inv_weight(p, k)
-        upper = 0.5 + 2.0 * k * math.log(math.e * p / max(k, 1))
-        if not (k <= w <= upper):
-            return False
-    return True
+    tbl = weight_table(p)
+    ks = np.arange(p + 1)
+    upper = 0.5 + 2.0 * ks * np.log(math.e * p / np.maximum(ks, 1))
+    return bool(np.all((ks <= tbl) & (tbl <= upper)))
 
 
 def total_mass(p: int) -> float:
     """Sum over all supports of their weights; equals 1 by construction."""
-    if not 1 <= p <= 30:
-        raise InvalidInputError("total_mass is a test utility for 1 <= p <= 30")
-    ks = np.arange(p + 1)
     tbl = weight_table(p)
     # C(p,k) supports of size k, each of weight exp(-log_inv_weight).
-    return float(np.exp(logsumexp(log_binomial(p, ks) - tbl)))
+    return float(np.exp(logsumexp(log_binomial(p, np.arange(p + 1)) - tbl)))

@@ -1,8 +1,9 @@
 """Independent references that only the tests use: the Lasso's KKT check,
 coordinate descent run to its cycle cap, the coefficient vector and the
 grid support family read off a Lasso path, the projection onto a support's
-column span by column-pivoted QR, the Q-aggregation objective at a given
-theta, and Q-aggregation over every support of a small design.
+column span by column-pivoted QR, the criterion selector run one support at
+a time, the Q-aggregation objective at a given theta, and Q-aggregation over
+every support of a small design.
 
 pytest puts this directory on sys.path, so a test imports them with
 ``from oracles import ...``.
@@ -17,8 +18,9 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
-from lassoagg.aggregation import (PrecomputedFits, QAggResult, SimplexWeights, _clamp_sigma,
-                                  _linear_coeffs, precompute, q_aggregate)
+from lassoagg.aggregation import (CritResult, PrecomputedFits, QAggResult, SimplexWeights,
+                                  _clamp_sigma, _linear_coeffs, crit_value, precompute,
+                                  q_aggregate)
 from lassoagg.design import (RANK_TOL, SUPPORT_THRESH, DesignMatrix, ProjectionResult, Support,
                              as_design, as_response)
 from lassoagg.errors import InvalidInputError
@@ -150,6 +152,24 @@ def pivoted_project(X: DesignMatrix, T: Support, v) -> ProjectionResult:
     else:
         fitted = Q @ (Q.T @ v)
     return ProjectionResult(fitted=fitted, residual=v - fitted, rank=Q.shape[1])
+
+
+def crit_select_loop(pre: PrecomputedFits, sigma_hat_sq: float) -> CritResult:
+    """crit_select one support at a time: crit_value of each support in
+    family order, keeping the first smallest (value, size, indices)."""
+    sigma_hat_sq = _clamp_sigma(pre, sigma_hat_sq)
+    best = None
+    fit_norms_sq = np.diag(pre.gram)
+    for j, T in enumerate(pre.family):
+        resid_sq = max(pre.y_norm_sq - fit_norms_sq[j], 0.0)
+        val = crit_value(resid_sq, pre.log_inv_weights[j], sigma_hat_sq)
+        key = (val, T.size, T.indices)
+        if best is None or key < best[0]:
+            best = (key, j, T, val)
+    _, j, T, val = best
+    return CritResult(chosen=T, crit_value=val,
+                      mu_hat=pre.fitted_vectors[:, j].copy(),
+                      sigma_hat_sq_used=sigma_hat_sq)
 
 
 def q_objective(theta, pre: PrecomputedFits, sigma_hat_sq: float) -> float:

@@ -79,6 +79,14 @@ def test_crit_value_examples():
     assert crit_value(5.0, w, 0.5) == pytest.approx(5.0 + 9.0 * w, rel=1e-14)
     with pytest.raises(InvalidInputError):
         crit_value(-1.0, 0.0, 0.0)
+    # elementwise over arrays, rejecting any negative entry
+    ws = np.array([log_inv_weight(4, k) for k in range(3)])
+    vals = crit_value(np.array([5.0, 2.0, 0.0]), ws, 0.5)
+    assert vals.tolist() == [crit_value(r, wk, 0.5) for r, wk in zip([5.0, 2.0, 0.0], ws)]
+    for resid, log_inv_w in ((np.array([1.0, -1e-300]), ws[:2]),
+                             (np.ones(2), np.array([1.0, -1.0]))):
+        with pytest.raises(InvalidInputError):
+            crit_value(resid, log_inv_w, 1.0)
 
 
 def test_crit_select_family_of_empty():

@@ -558,11 +558,32 @@ def test_config_echoes_the_parsed_arguments_but_io_and_execution(tmp_path, data_
 
 
 def test_weights_command_stdout(capsys):
-    assert main(["weights", "--p", "6"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["results"]["bounds_hold"] is True
-    assert report["results"]["total_mass"] == pytest.approx(1.0, abs=1e-10)
-    assert len(report["results"]["log_inv_weight_by_size"]) == 7
+    for p in (6, 100):
+        assert main(["weights", "--p", str(p)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["bounds_hold"] is True
+        assert report["results"]["total_mass"] == pytest.approx(1.0, abs=1e-10)
+        assert len(report["results"]["log_inv_weight_by_size"]) == p + 1
+
+
+def test_the_parser_is_built_once_per_process():
+    assert lassoagg.cli.build_parser() is lassoagg.cli.build_parser()
+
+
+# numpy refuses each of these arrays (7.11 PiB and 6.94 EiB) before it
+# allocates anything
+@pytest.mark.parametrize("argv", [
+    ["weights", "--p", "1000000000000000"],
+    ["simulate", "--n", "1000000000", "--p", "1000000000", "--s", "1", "--sigma", "1",
+     "--reps", "1"],
+])
+def test_a_failed_allocation_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "MemoryError"
+    assert error["message"].startswith("Unable to allocate")
 
 
 @pytest.mark.parametrize("seed, reps", [("-1", "2"), (str(2 ** 128 - 1), "2"),
@@ -762,6 +783,8 @@ GOLDEN_RUNS = {
     "aggregate_integer_sqrt_lasso": ["aggregate", *INT_DATA, "--sigma-mode", "sqrt_lasso"],
     "aggregate_integer_sigma_1_max_knots_3": ["aggregate", *INT_DATA, "--sigma", "1",
                                               "--max-knots", "3"],
+    "aggregate_integer_crit_sigma_1": ["aggregate", *INT_DATA, "--method", "crit",
+                                       "--sigma", "1"],
     "path_max_knots_2": ["path", *DATA, "--max-knots", "2"],
     "path_max_knots_3_path_csv": ["path", *DATA, "--max-knots", "3", "--path-csv", "{csv}"],
     "path_integer_max_knots_2": ["path", *INT_DATA, "--max-knots", "2"],
@@ -773,7 +796,11 @@ GOLDEN_RUNS = {
     "sqrt_pipeline_crit": ["sqrt-pipeline", *DATA, "--method", "crit"],
     "sqrt_pipeline_q_paper_literal": ["sqrt-pipeline", *DATA, "--method", "q",
                                       "--grid-mode", "paper-literal"],
+    # p > n: the square-root Lasso interpolates and the residual collapses
+    "sqrt_pipeline_wide_crit_exits_2": ["sqrt-pipeline", "--x", "{wx}", "--y", "{wy}",
+                                        "--method", "crit"],
     "simulate_soi_path": [*SIMULATE, "--bound", "soi_path"],
+    "simulate_soi_path_threads_2": [*SIMULATE, "--bound", "soi_path", "--threads", "2"],
     "simulate_soi_supports": [*SIMULATE, "--bound", "soi_supports"],
     "simulate_oi_supports_crit_sqrt_lasso": [*SIMULATE, "--bound", "oi_supports",
                                              "--method", "crit", "--sigma-mode", "sqrt_lasso"],
@@ -785,6 +812,8 @@ GOLDEN_RUNS = {
                                         "--sigma", "1", "--x", "3", "--method", "q",
                                         "--bound", "soi_path", "--reps", "2", "--seed", "0"],
     "weights_p_6": ["weights", "--p", "6"],
+    "weights_p_30": ["weights", "--p", "30"],
+    "weights_p_100": ["weights", "--p", "100"],
 }
 GOLDEN_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_results.json")
 

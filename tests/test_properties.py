@@ -12,6 +12,7 @@ import math
 import os
 import tempfile
 import warnings
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lassoagg.cli
-from lassoagg.aggregation import PrecomputedFits, precompute, q_aggregate
+from lassoagg.aggregation import PrecomputedFits, crit_select, precompute, q_aggregate
 from lassoagg.cli import load_matrix_csv, load_vector_csv, save_matrix_csv
 from lassoagg.design import SUPPORT_THRESH, Support
 from lassoagg.errors import DegenerateVarianceError
@@ -29,7 +30,7 @@ from lassoagg.path import (_SMALLEST_POSITIVE, TIE_TOL, LassoPath, SupportFamily
 from lassoagg.pipelines import sqrt_lasso_pipeline
 from lassoagg.simulation import generate_instance
 from lassoagg.solvers import lasso_cd, sqrt_lasso, sqrt_lasso_universal_lambda
-from oracles import grid_support_family, pivoted_project
+from oracles import crit_select_loop, grid_support_family, pivoted_project
 from test_solvers import path_bytes
 
 
@@ -369,6 +370,47 @@ def test_q_aggregate_solves_rank_deficient_qps(data):
     vertices = 0.5 * np.diag(pre.gram) + c + pre.y_norm_sq
     # rounding slack only: the method starts at the best vertex and descends
     assert np.all(res.objective <= vertices + 1e-12 * (1.0 + np.abs(vertices)))
+
+
+def assert_crit_select_is_the_loop(pre):
+    """crit_select and the per-support loop agree bitwise at each variance."""
+    for s2 in (0.0, 0.01, 1.0, 7.3):
+        found, expected = crit_select(pre, s2), crit_select_loop(pre, s2)
+        assert found.chosen.indices == expected.chosen.indices
+        assert type(found.crit_value) is type(expected.crit_value) is np.float64
+        assert found.crit_value.tobytes() == expected.crit_value.tobytes()
+        assert found.mu_hat.tobytes() == expected.mu_hat.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wide_instances(), tied_designs()))
+def test_crit_select_is_the_per_support_loop_on_path_families(data):
+    X, y = data
+    path = compute_path(X, y)
+    assert_crit_select_is_the_loop(precompute(path.design, y, path_support_family(path)))
+
+
+@st.composite
+def duplicated_column_families(draw):
+    """Families, in a drawn order, of supports of at most 3 columns of a small
+    integer design whose columns repeat: supports over copies of the same
+    columns have equal fits, criterion values and sizes, so only their
+    indices break the tie."""
+    n = draw(st.integers(2, 8))
+    base = draw(arrays(np.float64, (n, draw(st.integers(1, 3))),
+                       elements=st.integers(-3, 3).map(float)))
+    cols = draw(st.lists(st.integers(0, base.shape[1] - 1), min_size=2, max_size=6))
+    y = draw(arrays(np.float64, n, elements=st.integers(-3, 3).map(float)))
+    candidates = [Support(c) for k in range(4) for c in combinations(range(len(cols)), k)]
+    supports = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
+    return base[:, cols], y, SupportFamily.from_supports(supports, include_empty=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicated_column_families())
+def test_crit_select_is_the_per_support_loop_on_tied_families(data):
+    X, y, family = data
+    assert_crit_select_is_the_loop(precompute(X, y, family))
 
 
 @settings(max_examples=200, deadline=None)

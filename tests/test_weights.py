@@ -28,20 +28,26 @@ def test_p4_k2_direct_evaluation():
 
 
 def test_weight_table_matches_pointwise():
-    tbl = weight_table(9)
-    for k in range(10):
-        assert tbl[k] == pytest.approx(log_inv_weight(9, k), rel=1e-14)
-    assert np.all(tbl >= 0.0)
+    for p in range(1, 400):
+        tbl = weight_table(p)
+        assert tbl.tolist() == [log_inv_weight(p, k) for k in range(p + 1)]
+        assert np.all(tbl >= 0.0)
 
 
-@pytest.mark.parametrize("p", [1, 2, 4, 10, 33, 64])
+@pytest.mark.parametrize("p", [1, 2, 4, 10, 33, 64, 65, 1000, 100_000])
 def test_weight_bounds_hold(p):
     assert verify_weight_bounds(p) is True
 
 
-@pytest.mark.parametrize("p", range(1, 31))
+@pytest.mark.parametrize("p", [*range(1, 32), 65, 1000, 100_000])
 def test_total_mass_is_one(p):
     assert total_mass(p) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("check", [verify_weight_bounds, total_mass])
+def test_weight_checks_reject_an_empty_design(check):
+    with pytest.raises(InvalidInputError, match="p must be >= 1"):
+        check(0)
 
 
 def test_total_mass_geometric_identity():
