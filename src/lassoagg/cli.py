@@ -49,7 +49,7 @@ class OutputError(InvalidInputError):
 
 
 def load_matrix_csv(path: str, header: bool = False) -> DesignMatrix:
-    """Load an RFC-4180 CSV (no header by default) as a design matrix."""
+    """Load an RFC-4180 UTF-8 CSV (no header by default) as a design matrix."""
     return DesignMatrix(_load_table(path, header, single_column=False))
 
 
@@ -82,11 +82,11 @@ def _load_table(path, header, single_column):
 def _read_rows(path, header):
     """(line number, values) of each nonblank row, the header skipped, read
     by Python's csv reader.  Each cell is parsed once with float syntax; the
-    first non-numeric or non-finite cell raises, and so does text that does
-    not decode."""
+    first non-numeric or non-finite cell raises, and so does text that is
+    not UTF-8 (a leading byte-order mark is skipped)."""
     rows = []
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -123,7 +123,7 @@ def _read_finite_cells(path, header):
         return None
     try:
         # a file object, not the path, which numpy would decompress or fetch
-        with open(path) as fh, warnings.catch_warnings():
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")     # "input contained no data"
             if header:
                 # the header is one record, which quotes can spread over lines
@@ -278,7 +278,7 @@ def _cmd_path(args):
     path = compute_path(X, y, max_knots=args.max_knots)
     family = path_support_family(path)
     if args.path_csv:
-        losses, sizes = path.losses_and_sizes(path.knot_segments(), y)
+        losses, sizes = path.losses_and_sizes(path.knots, y)
         save_matrix_csv(args.path_csv, np.column_stack((path.knots, losses, sizes)))
     results = {
         "knots": path.knots,

@@ -126,44 +126,41 @@ class LassoPath:
             more = waiting or len(segments) > read
             yield (run, *_norms_sq(self.response, run), more)
 
-    def knot_segments(self) -> List[Tuple[float, PathSegment]]:
-        """Each knot with the segment that ends at it; lambda_0 with the
-        zero piece above it, where beta = 0."""
-        zero = np.zeros(self.design.n)
-        above = PathSegment(hi=np.inf, lo=self.lambda0, active=(), a=np.zeros(0),
-                            b=np.zeros(0), fit=zero, slope=zero)
-        return list(zip(self.knots.tolist(), [above] + self.segments[:-1]))
+    @cached_property
+    def pieces(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """fit, slope, a and b of the path's pieces, one row each: row 0 is
+        the zero piece at and above lambda_0, row k + 1 is segment k; a and
+        b are zero-padded to the widest active set."""
+        segs = self.segments
+        fit, slope = np.zeros((2, len(segs) + 1, self.design.n))
+        a, b = np.zeros((2, len(segs) + 1, max((seg.a.size for seg in segs), default=0)))
+        for k, seg in enumerate(segs, start=1):
+            fit[k], slope[k] = seg.fit, seg.slope
+            a[k, :seg.a.size], b[k, :seg.b.size] = seg.a, seg.b
+        return fit, slope, a, b
 
-    def losses_and_sizes(self, points: Sequence[Tuple[float, PathSegment]],
+    def losses_and_sizes(self, lams: Sequence[float],
                          target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """||X beta(lam) - target||^2 / n and the number of coefficients of
-        beta(lam) above SUPPORT_THRESH in magnitude at each (lam, covering
-        segment) of points, evaluated a block of points at a time."""
-        n = self.design.n
-        # a block's arrays take at most 64 KiB each, below malloc's mmap
-        # threshold, so that peak memory does not grow with the number of points
-        rows = max(1, 8192 // n)
-        losses = np.empty(len(points))
-        sizes = np.empty(len(points), dtype=np.intp)
-        for start in range(0, len(points), rows):
-            block = points[start:start + rows]
-            lams = np.array([lam for lam, _ in block])
-            # X beta(lam) - target = fit - lam * slope - target, squared in place
-            resid = np.array([seg.fit for _, seg in block])
-            step = np.array([seg.slope for _, seg in block])
-            step *= lams[:, None]
-            resid -= step
-            resid -= target
-            resid *= resid
-            losses[start:start + rows] = resid.sum(axis=1)
-            # beta(lam) = a - lam * b on the active set of each point's segment
-            counts = [seg.a.size for _, seg in block]
-            beta = (np.concatenate([seg.a for _, seg in block])
-                    - np.repeat(lams, counts) * np.concatenate([seg.b for _, seg in block]))
-            owner = np.repeat(np.arange(len(block)), counts)
-            sizes[start:start + rows] = np.bincount(owner[np.abs(beta) > SUPPORT_THRESH],
-                                                    minlength=len(block))
-        return losses / n, sizes
+        beta(lam) above SUPPORT_THRESH in magnitude at each lam of lams, read
+        off row i of pieces, i the number of knots above lam: the zero piece
+        at and above lambda_0, and at a knot the segment that ends there."""
+        lams = np.asarray(lams, dtype=float)[:, None]
+        rows = np.searchsorted(-self.knots, -lams[:, 0])
+        fit, slope, a, b = self.pieces
+        # X beta(lam) - target = fit - lam * slope - target, squared in place
+        resid = fit[rows]
+        step = slope[rows]
+        step *= lams
+        resid -= step
+        resid -= target
+        resid *= resid
+        # |beta(lam)| = |a - lam * b|, in place; the zero padding never counts
+        beta = b[rows]
+        beta *= lams
+        np.subtract(a[rows], beta, out=beta)
+        np.abs(beta, out=beta)
+        return resid.sum(axis=1) / self.design.n, (beta > SUPPORT_THRESH).sum(axis=1)
 
 
 def _norms_sq(y: np.ndarray, segments: Sequence[PathSegment]) -> Tuple[np.ndarray, np.ndarray]:

@@ -157,16 +157,15 @@ def run_oracle_trial(config: TrialConfig) -> OracleCheck:
         lhs = float(np.sum((report.result.mu_hat - mu) ** 2)) / n
 
         if config.bound == "soi_path":
-            # min over lambda: beta = 0 for lambda >= lambda_0, then the knots
-            # below lambda_0 and the segment midpoints, each read off the
-            # segment that covers it
+            # min over lambda: beta = 0 at lambda_0 (and above), then the knots
+            # below lambda_0 and the segment midpoints
             path = report.family.path
-            points = (path.knot_segments()[1:]
-                      + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
-            losses, sizes = path.losses_and_sizes(points, mu)
-            rhs, j = oracle_bound(consts, [float(np.sum(mu ** 2)) / n] + losses.tolist(),
-                                  [0] + sizes.tolist(), sigma_hat_sq, sigma_sq, config.x, n, p)
-            minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
+            lams = ([path.lambda0] + path.knots[1:].tolist()
+                    + [0.5 * (seg.hi + seg.lo) for seg in path.segments])
+            losses, sizes = path.losses_and_sizes(lams, mu)
+            rhs, j = oracle_bound(consts, losses.tolist(), sizes.tolist(), sigma_hat_sq,
+                                  sigma_sq, config.x, n, p)
+            minimizing = "beta=0" if j == 0 else f"lambda={lams[j]:.6g}"
         else:
             family = report.family
             biases = [float(np.sum(project(X, T, mu).residual ** 2)) / n for T in family]

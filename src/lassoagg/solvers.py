@@ -144,8 +144,10 @@ def sqrt_lasso(X, y, lam: float, path=None) -> SqrtLassoFit:
 
 
 def sqrt_lasso_universal_lambda(n: int, p: int) -> float:
-    """Universal square-root-Lasso parameter 2*sqrt(log(p/0.01)/n)
-    (confidence level 0.01)."""
+    """Universal square-root-Lasso parameter 2*sqrt(log(p/0.01)/n): the form
+    of Belloni, Chernozhukov & Wang (2011), with the constant 2 and the level
+    0.01 this toolkit's choice.  Its fit is beta = 0, so sigma_hat^2 =
+    ||y||^2/n, unless roughly n >= 4*s*log(p/0.01) for s signal columns."""
     if n < 1 or p < 1:
         raise InvalidInputError("n and p must be >= 1")
     return 2.0 * math.sqrt(math.log(p / 0.01) / n)

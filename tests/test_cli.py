@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import os
+import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -240,8 +242,10 @@ def test_path_csv_support_size_uses_threshold(tmp_path):
     sizes = [int(np.sum(np.abs(beta_at(path, float(lam))) > SUPPORT_THRESH))
              for lam in path.knots]
     assert rows[:, 2].tolist() == sizes
-    losses = [float(np.sum((y - (seg.fit - lam * seg.slope)) ** 2)) / y.size
-              for lam, seg in path.knot_segments()]
+    # each knot reads the segment that ends there; lambda_0 reads beta = 0
+    losses = [float(np.sum(y ** 2)) / y.size]
+    losses += [float(np.sum((y - (seg.fit - lam * seg.slope)) ** 2)) / y.size
+               for lam, seg in zip(path.knots[1:].tolist(), path.segments)]
     assert rows[:, 1].tolist() == losses
     assert rows[:, 0].tolist() == path.knots.tolist()
 
@@ -371,6 +375,29 @@ def test_undecodable_csv_exits_2_naming_the_file(tmp_path, data_files, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert err["message"].startswith(f"{latin1}: not utf-8 text")
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+@pytest.mark.parametrize("grouped", [False, True], ids=["numpy-reader", "python-reader"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, data_files, header, grouped):
+    # spreadsheets export "CSV UTF-8" with a byte-order mark; a digit group
+    # separator ("1_2") is read by the Python reader only
+    xpath, ypath, *_ = data_files
+    found = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        files = []
+        for name, src in (("x", xpath), ("y", ypath)):
+            body = Path(src).read_bytes()
+            if grouped and name == "y":
+                body = re.sub(rb"(\d)(\d)", rb"\1_\2", body, count=1)
+            files.append(tmp_path / f"{name}{len(bom)}.csv")
+            files[-1].write_bytes(bom + (b"a,b\r\n" if header else b"") + body)
+        assert (lassoagg.cli._read_finite_cells(str(files[1]), header) is None) is grouped
+        out = tmp_path / f"r{len(bom)}.json"
+        assert main(["path", "--x", str(files[0]), "--y", str(files[1]), "--out", str(out)]
+                    + ["--header"] * header) == 0
+        found.append(canonical_json(json.loads(out.read_text())["results"]))
+    assert found[1] == found[0]
 
 
 @pytest.mark.parametrize("argv, x, y, message", [
@@ -787,12 +814,16 @@ GOLDEN_RUNS = {
                                        "--sigma", "1"],
     "path_max_knots_2": ["path", *DATA, "--max-knots", "2"],
     "path_max_knots_3_path_csv": ["path", *DATA, "--max-knots", "3", "--path-csv", "{csv}"],
+    "path_path_csv": ["path", *DATA, "--path-csv", "{csv}"],
     "path_integer_max_knots_2": ["path", *INT_DATA, "--max-knots", "2"],
     "path_integer_max_knots_4": ["path", *INT_DATA, "--max-knots", "4"],
+    "path_integer_path_csv": ["path", *INT_DATA, "--path-csv", "{csv}"],
     "path_zero_response": ["path", "--x", "{x}", "--y", "{zero}"],
     "path_wide": ["path", "--x", "{wx}", "--y", "{wy}"],
     "path_wide_max_knots_5": ["path", "--x", "{wx}", "--y", "{wy}", "--max-knots", "5"],
     "path_equicorrelated_saturating": ["path", "--x", "{ex}", "--y", "{ey}"],
+    "path_equicorrelated_saturating_path_csv": ["path", "--x", "{ex}", "--y", "{ey}",
+                                                "--path-csv", "{csv}"],
     "sqrt_pipeline_crit": ["sqrt-pipeline", *DATA, "--method", "crit"],
     "sqrt_pipeline_q_paper_literal": ["sqrt-pipeline", *DATA, "--method", "q",
                                       "--grid-mode", "paper-literal"],
@@ -801,6 +832,8 @@ GOLDEN_RUNS = {
                                         "--method", "crit"],
     "simulate_soi_path": [*SIMULATE, "--bound", "soi_path"],
     "simulate_soi_path_threads_2": [*SIMULATE, "--bound", "soi_path", "--threads", "2"],
+    "simulate_equicorrelated_soi_path": [*SIMULATE, "--design", "equicorrelated",
+                                         "--bound", "soi_path"],
     "simulate_soi_supports": [*SIMULATE, "--bound", "soi_supports"],
     "simulate_oi_supports_crit_sqrt_lasso": [*SIMULATE, "--bound", "oi_supports",
                                              "--method", "crit", "--sigma-mode", "sqrt_lasso"],
@@ -816,6 +849,8 @@ GOLDEN_RUNS = {
     "weights_p_100": ["weights", "--p", "100"],
 }
 GOLDEN_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_results.json")
+CHECKOUT_PACKAGE = os.path.realpath(
+    os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "lassoagg"))
 
 
 def _golden_results(tmp_path, names=tuple(GOLDEN_RUNS)):
@@ -871,17 +906,33 @@ def test_results_match_the_golden_bytes(tmp_path):
     assert _golden_results(tmp_path) == expected
 
 
+def test_golden_writer_refuses_this_checkouts_package():
+    # entries come from an earlier commit's code, never from the code under test
+    with open(GOLDEN_FILE, "rb") as fh:
+        before = fh.read()
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(CHECKOUT_PACKAGE)}
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "weights_p_6"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.startswith("lassoagg is imported from this checkout")
+    with open(GOLDEN_FILE, "rb") as fh:
+        assert fh.read() == before
+
+
 if __name__ == "__main__":
     # python3 tests/test_cli.py NAME ...: run the named GOLDEN_RUNS with the
-    # lassoagg found first on sys.path, write their entries into
-    # golden_results.json, keeping every other entry, and say which entries
-    # were added, changed or left as they were
+    # lassoagg found first on sys.path, which must not be this checkout's,
+    # write their entries into golden_results.json, keeping every other
+    # entry, and say which entries were added, changed or left as they were
     names = sys.argv[1:]
     unknown = [name for name in names if name not in GOLDEN_RUNS]
     if not names or unknown:
         sys.exit("usage: python3 tests/test_cli.py NAME ...\n"
                  + (f"unknown: {' '.join(unknown)}\n" if unknown else "")
                  + f"names: {' '.join(GOLDEN_RUNS)}")
+    if os.path.realpath(os.path.dirname(lassoagg.__file__)) == CHECKOUT_PACKAGE:
+        sys.exit(f"lassoagg is imported from this checkout ({CHECKOUT_PACKAGE}); golden "
+                 "entries come from an earlier commit's code: put its src first on PYTHONPATH")
     with open(GOLDEN_FILE) as fh:
         golden = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:

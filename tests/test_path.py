@@ -146,6 +146,49 @@ def test_natural_end_on_the_cap_is_not_truncated():
     assert compute_path(X, y, max_knots=2).truncated
 
 
+def _integer_instance():
+    # an integer design with a repeated, a negated and a doubled column, so
+    # that its path is degenerate
+    rng = np.random.default_rng(3)
+    Xm = rng.integers(-3, 4, size=(12, 9)).astype(float)
+    Xm[:, 4] = Xm[:, 1]
+    Xm[:, 6] = -Xm[:, 2]
+    Xm[:, 8] = 2.0 * Xm[:, 0]
+    return Xm, Xm[:, :3] @ np.array([2.0, -1.0, 1.0]) + rng.integers(-2, 3, size=12)
+
+
+def _gaussian_instance():
+    rng = np.random.default_rng(37)
+    return rng.standard_normal((20, 10)), rng.standard_normal(20)
+
+
+@pytest.mark.parametrize("instance, cap", [
+    (_gaussian_instance, None), (_gaussian_instance, 3),
+    (_integer_instance, None), (_integer_instance, 4),
+], ids=["gaussian", "gaussian-capped", "integer", "integer-capped"])
+def test_losses_and_sizes_read_the_covering_segment(instance, cap):
+    Xm, y = instance()
+    path = compute_path(DesignMatrix(Xm), y, max_knots=cap)
+    assert path.truncated is (cap is not None)
+    assert path.degenerate is (instance is _integer_instance)
+    n, lam0 = y.size, path.lambda0
+    target = y + np.random.default_rng(1).standard_normal(n)
+    # above lambda_0, the knots, points inside each segment, the last
+    # segment's lower end (the floor, or the next knot of a capped path)
+    lams = [3.0 * lam0, np.nextafter(lam0, np.inf)] + path.knots.tolist()
+    lams += [seg.lo + u * (seg.hi - seg.lo) for seg in path.segments for u in (0.1, 0.5, 0.9)]
+    lams.append(path.segments[-1].lo)
+    lams = np.random.default_rng(2).permutation(lams).tolist()
+    losses, sizes = path.losses_and_sizes(lams, target)
+    zero = np.zeros(n)
+    for lam, loss, size in zip(lams, losses.tolist(), sizes.tolist()):
+        # the segment with hi > lam >= lo; beta = 0 at and above lambda_0
+        seg = next((seg for seg in path.segments if seg.hi > lam >= seg.lo), None)
+        fit, slope = (zero, zero) if lam >= lam0 else (seg.fit, seg.slope)
+        assert loss == float(np.sum((fit - lam * slope - target) ** 2)) / n
+        assert size == np.count_nonzero(np.abs(beta_at(path, lam)) > SUPPORT_THRESH)
+
+
 @pytest.mark.parametrize("y, knots, supports, degenerate", [
     # column 1 ties with column 0 at lambda_0 and enters in place, without a knot
     ((1.0, 1.0, 0.5, 0.0), [0.5, 0.25], [(0, 1), (0, 1, 2)], True),

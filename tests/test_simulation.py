@@ -151,17 +151,21 @@ def _soi_path_reference(config):
     path = compute_path(X, y)
     s2 = (config.sigma ** 2 if config.sigma_mode == "known" else
           sqrt_lasso(X, y, sqrt_lasso_universal_lambda(n, p), path=path).sigma_hat_sq)
-    points = (path.knot_segments()
-              + [(0.5 * (seg.hi + seg.lo), seg) for seg in path.segments])
-    losses = [float(np.sum((seg.fit - lam * seg.slope - mu) ** 2)) / n for lam, seg in points]
-    sizes = [int(np.count_nonzero(np.abs(seg.a - lam * seg.b) > SUPPORT_THRESH))
-             for lam, seg in points]
-    terms = [float(np.sum(mu ** 2)) / n + (s2 / n) * 24.0]
-    for loss, k in zip(losses, sizes):
-        terms.append(loss + (s2 / n) * (24.0 + 96.0 * (k * math.log(math.e * p / max(k, 1)))))
+    # beta = 0 at lambda_0, then each knot below it with the segment that
+    # ends there, then each segment's midpoint
+    lams = [path.lambda0] + path.knots[1:].tolist()
+    segments = path.segments[:len(path.knots) - 1] + path.segments
+    lams += [0.5 * (seg.hi + seg.lo) for seg in path.segments]
+    losses = [float(np.sum(mu ** 2)) / n]
+    losses += [float(np.sum((seg.fit - lam * seg.slope - mu) ** 2)) / n
+               for lam, seg in zip(lams[1:], segments)]
+    sizes = [0] + [int(np.count_nonzero(np.abs(seg.a - lam * seg.b) > SUPPORT_THRESH))
+                   for lam, seg in zip(lams[1:], segments)]
+    terms = [loss + (s2 / n) * (24.0 + 96.0 * (k * math.log(math.e * p / max(k, 1))))
+             for loss, k in zip(losses, sizes)]
     j = terms.index(min(terms))
-    minimizing = "beta=0" if j == 0 else f"lambda={points[j - 1][0]:.6g}"
-    return (path, points, mu, losses, sizes,
+    minimizing = "beta=0" if j == 0 else f"lambda={lams[j]:.6g}"
+    return (path, lams, mu, losses, sizes,
             terms[j] + 22.0 * config.sigma ** 2 * config.x / n, minimizing)
 
 
@@ -173,8 +177,8 @@ def _soi_path_reference(config):
     TrialConfig(n=12, p=5, s=0, sigma=0.0, seed=1),     # zero response: an empty path
 ], ids=["iid", "equicorrelated", "sqrt-lasso", "noiseless", "zero-response"])
 def test_soi_path_bound_equals_the_per_point_loop(config):
-    path, points, mu, losses, sizes, rhs, minimizing = _soi_path_reference(config)
-    stacked_losses, stacked_sizes = path.losses_and_sizes(points, mu)
+    path, lams, mu, losses, sizes, rhs, minimizing = _soi_path_reference(config)
+    stacked_losses, stacked_sizes = path.losses_and_sizes(lams, mu)
     assert stacked_losses.tolist() == losses
     assert stacked_sizes.tolist() == sizes
     check = run_oracle_trial(config)
